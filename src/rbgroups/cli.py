@@ -3,9 +3,8 @@
 Exit codes: 0 for an answered question (JSON on stdout, including
 negative answers), 1 for a principled refusal (structured JSON with the
 error class and message), 2 for malformed input (message on stderr).
-The RBG_ORDER_CAP environment variable overrides the global order cap;
---threads is accepted for interface stability but the implementation is
-single-threaded.
+The RBG_ORDER_CAP environment variable overrides the order cap on group
+files.
 """
 
 from __future__ import annotations
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbg",
         description="Rota-Baxter operators on finite groups",
     )
-    ap.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="parallelism cap (implementation is single-threaded)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check one operator")
@@ -347,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        print("--threads: must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except SchemaViolation as exc:

@@ -257,6 +257,7 @@ def hom_to_abelian(G: FiniteGroup, images: Sequence[int],
     f = tuple(int(x) for x in images)
     if len(f) != G.order:
         raise InvalidInput("image array length does not match the group order")
+    G.check_elements(f)
     t = G.table
     for a in G.elements():
         for b in G.elements():
@@ -313,6 +314,7 @@ def central_conjugation(G: FiniteGroup, g: int) -> Optional[RBOperator]:
     On success the twisted product is the reversed product of G, which
     is asserted.  Returns None when the centrality criterion fails.
     """
+    G.check_elements((g,))
     z = center(G).as_set()
     if any(G.comm(g, x) not in z for x in G.elements()):
         return None
@@ -335,6 +337,7 @@ def affine_map_check(G: FiniteGroup, a: int, b: int) -> Optional[RBOperator]:
     The direct verification result is compared against that
     characterization; disagreement would be a library bug.
     """
+    G.check_elements((a, b))
     candidate = RBOperator(G, [G.prod([a, x, b]) for x in G.elements()], weight=1)
     v = verify(candidate)
     expected = G.is_abelian and b == G.inverses[a]

@@ -71,9 +71,7 @@ def _check_problem(G: FiniteGroup, gens: Sequence[int],
     images = [int(u) for u in images]
     if len(gens) != len(images):
         raise InvalidInput("need one prescribed image per generator")
-    for x in gens + images:
-        if not 0 <= x < G.order:
-            raise InvalidInput(f"element {x} out of range for order {G.order}")
+    G.check_elements(gens + images)
     return gens, images
 
 
@@ -239,6 +237,19 @@ def _word_of(parents, pair) -> Word:
     return tuple(reversed(out))
 
 
+def _pair_group(G: FiniteGroup, pairs):
+    """The sorted pairs, their positions, and the group they form under the
+    coordinatewise product of G x G."""
+    t = G.table
+    ordered = sorted(pairs)
+    index = {p: i for i, p in enumerate(ordered)}
+    table = [
+        [index[(t[x1][x2], t[y1][y2])] for (x2, y2) in ordered]
+        for (x1, y1) in ordered
+    ]
+    return ordered, index, from_cayley_table(table, name=f"pair-closure({G.name})")
+
+
 @dataclass(frozen=True)
 class ClosureGroup:
     """The pair closure of an extension problem, carried as a group.
@@ -285,13 +296,7 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
         )
 
     t, inv = G.table, G.inverses
-    ordered = sorted(parents)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[(t[x1][x2], t[y1][y2])] for (x2, y2) in ordered]
-        for (x1, y1) in ordered
-    ]
-    H = from_cayley_table(table, name=f"pair-closure({G.name})")
+    ordered, _, H = _pair_group(G, parents)
     probe_vals = [t[x][inv[y]] for x, y in ordered]
     image_vals = [y for _, y in ordered]
     for i, p in enumerate(ordered):
@@ -328,13 +333,7 @@ def _decode_closure(G: FiniteGroup, gens: Sequence[int],
         if op(a) != u:
             raise StructureViolation("decoded extension lost a prescribed value")
 
-    ordered = sorted(pairs)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[(t[x1][x2], t[y1][y2])] for (x2, y2) in ordered]
-        for (x1, y1) in ordered
-    ]
-    pair_group = from_cayley_table(table, name="pair-closure")
+    _, index, pair_group = _pair_group(G, pairs)
     twisted = derived_group(op).group
     enc = [index[(t[g][op(g)], op(g))] for g in G.elements()]
     try:
@@ -359,13 +358,7 @@ def extend_generators(G: FiniteGroup, gens: Sequence[int],
     A smaller diagonal-free closure is settled by a whole-group census
     when |G| <= census_cap and reported as undecided otherwise.
     """
-    gens = [int(a) for a in gens]
-    images = [int(u) for u in images]
-    if len(gens) != len(images):
-        raise InvalidInput("need one prescribed image per generator")
-    for x in gens + images:
-        if not 0 <= x < G.order:
-            raise InvalidInput(f"element {x} out of range for order {G.order}")
+    gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
 

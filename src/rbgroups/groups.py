@@ -179,6 +179,12 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def check_elements(self, elems: Iterable[int]) -> None:
+        """Refuse any element id outside 0..order-1 with InvalidInput."""
+        for x in elems:
+            if not 0 <= x < self.order:
+                raise InvalidInput(f"element {x} out of range for order {self.order}")
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -356,9 +362,7 @@ class GroupMap:
     def __post_init__(self):
         if len(self.images) != self.domain.order:
             raise InvalidInput("image list length does not match the domain")
-        for x in self.images:
-            if not 0 <= x < self.codomain.order:
-                raise InvalidInput(f"image {x} out of range")
+        self.codomain.check_elements(self.images)
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -462,9 +466,7 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         elems = tuple(sorted(set(int(x) for x in elements)))
-        for x in elems:
-            if not 0 <= x < parent.order:
-                raise InvalidInput(f"element {x} out of range")
+        parent.check_elements(elems)
         eset = frozenset(elems)
         if parent.identity not in eset:
             raise InvalidInput("subgroup must contain the identity")
@@ -697,6 +699,15 @@ def _mixed_radix_maps(orders: Sequence[int]):
     return encode, decode
 
 
+def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The direct product of the factor tables, numbered as _mixed_radix_maps."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for t in tables:
+        n, m = len(out), len(t)
+        out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(n * m, n * m)
+    return out
+
+
 class DirectProduct:
     """A direct product with componentwise coding and the canonical maps."""
 
@@ -710,19 +721,11 @@ class DirectProduct:
                 raise OrderCapExceeded(f"product order exceeds cap {cap}")
         self.factors = tuple(factors)
         self.encode, self.decode = _mixed_radix_maps(orders)
-        table = [[0] * total for _ in range(total)]
-        dec = [self.decode(x) for x in range(total)]
-        for a in range(total):
-            pa = dec[a]
-            for b in range(total):
-                pb = dec[b]
-                table[a][b] = self.encode(
-                    tuple(F.table[pa[i]][pb[i]] for i, F in enumerate(self.factors))
-                )
+        table = _product_table([F.np_table() for F in factors])
         if not name:
             parts = [F.name or "?" for F in factors]
             name = "x".join(parts) if all(F.name for F in factors) else ""
-        self.group = from_cayley_table(table, name=name)
+        self.group = from_cayley_table(table.tolist(), name=name)
         self.injections = tuple(self._injection(i) for i in range(len(factors)))
         self.projections = tuple(self._projection(i) for i in range(len(factors)))
 
@@ -793,17 +796,10 @@ class SemidirectProduct:
             return divmod(x, L.order)
 
         self.encode, self.decode = encode, decode
-        table = [[0] * total for _ in range(total)]
-        for h1 in H.elements():
-            for l1 in L.elements():
-                a = encode(h1, l1)
-                act = auts[l1].images
-                for h2 in H.elements():
-                    hpart = H.table[h1][act[h2]]
-                    row_l = L.table[l1]
-                    for l2 in L.elements():
-                        table[a][encode(h2, l2)] = encode(hpart, row_l[l2])
-        self.group = from_cayley_table(table, name=name)
+        # hpart[h1, l1, h2] = h1 * act(l1)(h2); cell ((h1, l1), (h2, l2))
+        hpart = H.np_table()[:, np.array([a.images for a in auts])]
+        table = hpart[:, :, :, None] * L.order + L.np_table()[None, :, None, :]
+        self.group = from_cayley_table(table.reshape(total, total).tolist(), name=name)
 
 
 def semidirect_product(H: FiniteGroup, L: FiniteGroup,
@@ -839,20 +835,14 @@ class WreathProduct:
             return l, fun_decode(fidx)
 
         self.encode, self.decode = encode, decode
-        funs = [fun_decode(i) for i in range(base)]
-        table = [[0] * total for _ in range(total)]
-        for l1 in range(L.order):
-            for i1, f1 in enumerate(funs):
-                a = l1 * base + i1
-                for l2 in range(L.order):
-                    shifted = tuple(f1[L.table[l2][x]] for x in range(L.order))
-                    lpart = L.table[l1][l2]
-                    for i2, f2 in enumerate(funs):
-                        prod = tuple(
-                            H.table[shifted[x]][f2[x]] for x in range(L.order)
-                        )
-                        table[a][l2 * base + i2] = lpart * base + fun_encode(prod)
-        self.group = from_cayley_table(table, name=name)
+        # funs[i, x] = f(x) for the function f numbered i; shifted[i, l'] numbers
+        # x -> f(l' x), so the base part of (l, f)(l', f') is base_table[shifted, f']
+        LT, radix = L.np_table(), (H.order,) * L.order
+        funs = np.stack(np.unravel_index(np.arange(base), radix), axis=1)
+        shifted = np.ravel_multi_index(np.moveaxis(funs[:, LT], -1, 0), radix)
+        base_table = _product_table([H.np_table()] * L.order)
+        table = LT[:, None, :, None] * base + base_table[shifted][None]
+        self.group = from_cayley_table(table.reshape(total, total).tolist(), name=name)
 
 
 def wreath_product(H: FiniteGroup, L: FiniteGroup,

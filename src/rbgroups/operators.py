@@ -53,9 +53,7 @@ class RBOperator:
         imgs = tuple(int(x) for x in images)
         if len(imgs) != group.order:
             raise InvalidInput("image array length does not match the group order")
-        for x in imgs:
-            if not 0 <= x < group.order:
-                raise InvalidInput(f"image {x} out of range")
+        group.check_elements(imgs)
         self.group = group
         self.images = imgs
         self.weight = weight

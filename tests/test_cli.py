@@ -218,11 +218,20 @@ def test_missing_group_is_schema_error(capsys):
     assert code == 2 and err != ""
 
 
-def test_threads_flag(capsys):
-    j = run_json(capsys, "--threads", "4", "enumerate", "--corpus", "Z4")
-    assert j["count"] == 4
-    code, out, err = run(capsys, "--threads", "0", "enumerate", "--corpus", "Z4")
-    assert code == 2 and "--threads" in err
+@pytest.mark.parametrize("args", [
+    ("--family", "central", "--element", "99"),
+    ("--family", "central", "--element", "-1"),
+    ("--family", "affine", "--a", "99"),
+    ("--family", "affine", "--a", "1", "--b", "99"),
+    ("--family", "affine", "--a", "-1"),
+    ("--family", "hom", "--map", "0,0,0,0,0,9"),
+    ("--family", "hom", "--map", "0,0,0,0,0,-1"),
+])
+def test_construct_refuses_out_of_range_element(capsys, args):
+    code, out, err = run(capsys, "construct", "--corpus", "S3", *args)
+    assert code == 1 and err == ""
+    j = json.loads(out)
+    assert j["error"] == "InvalidInput" and "out of range" in j["message"]
 
 
 def test_bad_subcommand_exits_2(capsys):

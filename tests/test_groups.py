@@ -12,6 +12,7 @@ from rbgroups.errors import (
     OrderCapExceeded,
 )
 from rbgroups.groups import (
+    DirectProduct,
     GroupMap,
     Subgroup,
     all_homomorphisms,
@@ -202,6 +203,38 @@ def test_direct_product_coding(s3, z4):
         assert prod.encode((h, l)) == g
     a, b = prod.encode((1, 2)), prod.encode((2, 3))
     assert prod.decode(G.table[a][b]) == (s3.mul(1, 2), z4.mul(2, 3))
+
+
+def test_product_numbering(s3, z4):
+    """Every cell of each product table is the defining product, read off
+    the factor tables through the product's own element coding."""
+    z2 = corpus_group("Z2")
+    prod = DirectProduct((z2, s3, z4))
+    for a in prod.group.elements():
+        for b in prod.group.elements():
+            pa, pb = prod.decode(a), prod.decode(b)
+            want = tuple(F.table[x][y] for F, x, y in zip(prod.factors, pa, pb))
+            assert prod.group.table[a][b] == prod.encode(want)
+    assert prod.encode((1, 2, 3)) == 1 * 24 + 2 * 4 + 3
+
+    sdp = semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    for a in sdp.group.elements():
+        for b in sdp.group.elements():
+            (h1, l1), (h2, l2) = sdp.decode(a), sdp.decode(b)
+            want = sdp.encode(z4.table[h1][sdp.action[l1](h2)], z2.table[l1][l2])
+            assert sdp.group.table[a][b] == want
+    assert sdp.encode(3, 1) == 3 * 2 + 1
+
+    for H, L in ((z2, s3), (s3, z2)):
+        w = wreath_product(H, L)
+        for a in w.group.elements():
+            for b in w.group.elements():
+                (l1, f1), (l2, f2) = w.decode(a), w.decode(b)
+                f = [H.table[f1[L.table[l2][x]]][f2[x]] for x in L.elements()]
+                want = L.table[l1][l2] * w.base_size + w.fun_encode(f)
+                assert w.group.table[a][b] == want
+                assert w.encode(L.table[l1][l2], f) == want
+        assert w.fun_decode(1) == (0,) * (L.order - 1) + (1,)
 
 
 def test_semidirect_validation(z4):
