@@ -33,7 +33,7 @@ from .enumeration import (
     splitting_report,
 )
 from .errors import InvalidInput, RBGroupsError, SchemaViolation
-from .extension import closure_group, extend_generators
+from .extension import _extend_with_closure
 from .groups import FiniteGroup, Subgroup, subgroup_generated
 from .lie_ring import bracket_nonzero_count, graded_lie_ring, induced_rb, verify_lie_rb
 from .operators import RBOperator, elementary, is_splitting, verify, weight_convert
@@ -231,9 +231,9 @@ def cmd_extend(args) -> int:
     G = _load_group(args)
     gens = _csv_ints(args.gens, "--gens")
     images = _csv_ints(args.images, "--images")
-    res = extend_generators(G, gens, images, census_cap=args.census_cap)
-    closure = closure_group(G, gens, images).group if res.cond else None
-    return _emit(extension_to_json(res, closure))
+    res, closure = _extend_with_closure(G, gens, images,
+                                        census_cap=args.census_cap)
+    return _emit(extension_to_json(res, closure.group if closure else None))
 
 
 def cmd_lie_ring(args) -> int:

@@ -25,7 +25,9 @@ census of operators, with no duplicates on either side.
 Subgroups of G x G are walked through their factor data (projections,
 the two slice kernels, and the identifying isomorphism between the
 quotients), so the product group is never materialized; this keeps A5
-tractable.
+tractable.  Within one call, each subgroup's normal subgroups, quotients
+and coset fibers are built once and shared by every visit to it; nothing
+outlives the call.
 """
 
 from __future__ import annotations
@@ -168,8 +170,21 @@ def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
     )
 
 
-def _normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return [s for s in all_subgroups(G) if is_normal(s)]
+def _factor_data(S: Subgroup):
+    """S packed as a standalone group, with one (N, Q, proj, fibers) entry
+    per normal subgroup N of the packed group: Q = S/N, proj the
+    projection onto it, and fibers[q] the local ids of the coset q."""
+    pack = S.as_group()
+    entries = []
+    for N in all_subgroups(pack.group):
+        if not is_normal(N):
+            continue
+        Q, proj = quotient(pack.group, N)
+        fibers: dict[int, list[int]] = {}
+        for local in pack.group.elements():
+            fibers.setdefault(proj(local), []).append(local)
+        entries.append((N, Q, proj, fibers))
+    return pack, entries
 
 
 def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
@@ -181,6 +196,10 @@ def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
     quotients; distinct isomorphisms give distinct subgroups, so nothing
     is deduplicated.  A candidate survives when its order is |G| and no
     nonidentity element pairs with itself.
+
+    Each subgroup's normal subgroups, quotients and coset fibers are
+    built once per call, before the walk, and shared by every visit as
+    A or as C; nothing is kept between calls.
     """
     if G.order > cap:
         raise OrderCapExceeded(f"graph enumeration capped at order {cap}")
@@ -191,29 +210,24 @@ def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
+    factors = {s.elements: _factor_data(s) for s in subs}
 
     found: list[tuple[int, ...]] = []
     for A in subs:
-        packA = A.as_group()
-        normalsA = _normal_subgroups(packA.group)
-        for Bn in normalsA:
+        packA, entriesA = factors[A.elements]
+        for Bn, QA, projA, _ in entriesA:
             if (n % Bn.order) != 0:
                 continue
             c_order = n // Bn.order
             quot_order = A.order // Bn.order
-            QA, projA = quotient(packA.group, Bn)
             for C in by_order.get(c_order, []):
                 if C.order % quot_order != 0:
                     continue
                 d_order = C.order // quot_order
-                packC = C.as_group()
-                for Dn in _normal_subgroups(packC.group):
+                packC, entriesC = factors[C.elements]
+                for Dn, QC, projC, fibers in entriesC:
                     if Dn.order != d_order:
                         continue
-                    QC, projC = quotient(packC.group, Dn)
-                    fibers: dict[int, list[int]] = {}
-                    for c_local in packC.group.elements():
-                        fibers.setdefault(projC(c_local), []).append(c_local)
                     common = sorted(A.as_set() & C.as_set())
                     for phi in isomorphisms_all(QA, QC):
                         ok = True

@@ -294,9 +294,15 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
             f"word {list(w)} probes to the identity but has image "
             f"{collision[1]}, so probe classes do not determine images"
         )
+    return _closure_of(G, gens, images, parents, _pair_group(G, parents))
 
+
+def _closure_of(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
+                parents, pair_group) -> ClosureGroup:
+    """closure_group's result from a diagonal-free closure and its pair
+    group, each reached word checked against its evaluations."""
     t, inv = G.table, G.inverses
-    ordered, _, H = _pair_group(G, parents)
+    ordered, _, H = pair_group
     probe_vals = [t[x][inv[y]] for x, y in ordered]
     image_vals = [y for _, y in ordered]
     for i, p in enumerate(ordered):
@@ -315,10 +321,11 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
 
 
 def _decode_closure(G: FiniteGroup, gens: Sequence[int],
-                    images: Sequence[int], pairs) -> RBOperator:
+                    images: Sequence[int], pair_group) -> RBOperator:
     t, inv = G.table, G.inverses
+    ordered, index, H = pair_group
     imgs = [-1] * G.order
-    for x, y in pairs:
+    for x, y in ordered:
         g = t[x][inv[y]]
         if imgs[g] != -1:
             raise StructureViolation("closure decodes the same element twice")
@@ -333,11 +340,10 @@ def _decode_closure(G: FiniteGroup, gens: Sequence[int],
         if op(a) != u:
             raise StructureViolation("decoded extension lost a prescribed value")
 
-    _, index, pair_group = _pair_group(G, pairs)
     twisted = derived_group(op).group
     enc = [index[(t[g][op(g)], op(g))] for g in G.elements()]
     try:
-        iso = GroupMap.hom(twisted, pair_group, enc)
+        iso = GroupMap.hom(twisted, H, enc)
     except NotHomomorphism as exc:
         raise StructureViolation(
             f"twisted group does not match the pair closure: {exc}"
@@ -358,6 +364,27 @@ def extend_generators(G: FiniteGroup, gens: Sequence[int],
     A smaller diagonal-free closure is settled by a whole-group census
     when |G| <= census_cap and reported as undecided otherwise.
     """
+    return _decide(G, gens, images, census_cap)[0]
+
+
+def _extend_with_closure(G: FiniteGroup, gens: Sequence[int],
+                         images: Sequence[int], census_cap: int,
+                         ) -> tuple[ExtensionResult, Optional[ClosureGroup]]:
+    """extend_generators, and closure_group when the closure avoids the
+    diagonal (None otherwise), both read off one pair closure."""
+    res, parents, pair_group = _decide(G, gens, images, census_cap)
+    if not res.cond:
+        return res, None
+    if pair_group is None:
+        pair_group = _pair_group(G, parents)
+    return res, _closure_of(G, gens, images, parents, pair_group)
+
+
+def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
+            census_cap: int):
+    """The decision of extend_generators, with the closure parents it was
+    read from and, for a full-size closure, the pair group it was decoded
+    through (None otherwise)."""
     gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
@@ -373,14 +400,15 @@ def extend_generators(G: FiniteGroup, gens: Sequence[int],
         return ExtensionResult(
             status="no_extension", cond=False, closure_order=len(parents),
             via="closure", witness=witness,
-        )
+        ), parents, None
 
     if len(parents) == G.order:
-        op = _decode_closure(G, gens, images, parents)
+        pair_group = _pair_group(G, parents)
+        op = _decode_closure(G, gens, images, pair_group)
         return ExtensionResult(
             status="extends", cond=True, closure_order=len(parents),
             via="closure", operator=op,
-        )
+        ), parents, pair_group
 
     if G.order <= census_cap:
         from .enumeration import graph_enumerate
@@ -390,12 +418,12 @@ def extend_generators(G: FiniteGroup, gens: Sequence[int],
                 return ExtensionResult(
                     status="extends", cond=True, closure_order=len(parents),
                     via="census", operator=op,
-                )
+                ), parents, None
         return ExtensionResult(
             status="no_extension", cond=True, closure_order=len(parents),
             via="census",
-        )
+        ), parents, None
     return ExtensionResult(
         status="undecided", cond=True, closure_order=len(parents),
         via=None,
-    )
+    ), parents, None

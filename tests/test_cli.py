@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rbgroups import extension
 from rbgroups.cli import main
 from rbgroups.corpus import corpus_group
 from rbgroups.serialization import dumps, group_to_json
@@ -176,6 +177,24 @@ def test_extend_undecided(capsys):
     j = run_json(capsys, "extend", "--corpus", "S3",
                  "--gens", "1,2", "--images", "1,0", "--census-cap", "4")
     assert j["status"] == "undecided"
+
+
+def test_extend_builds_closure_once(monkeypatch, capsys):
+    # the decision and the reported closure group share one pair closure
+    calls = {"_closure_pairs": 0, "_pair_group": 0}
+    for fname in calls:
+        real = getattr(extension, fname)
+
+        def counting(*args, _real=real, _name=fname):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(extension, fname, counting)
+    j = run_json(capsys, "extend", "--corpus", "S4",
+                 "--gens", "1,2,3", "--images", "0,0,0")
+    assert j["status"] == "extends" and j["via"] == "closure"
+    assert j["gbar"]["order"] == 24 and len(j["gbar"]["table"]) == 24
+    assert calls == {"_closure_pairs": 1, "_pair_group": 1}
 
 
 def test_lie_ring(capsys):

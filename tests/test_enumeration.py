@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import exhaustive_census
+from rbgroups import enumeration
 from rbgroups.corpus import corpus_group
 from rbgroups.enumeration import (
     brute_force_enumerate,
@@ -15,6 +16,7 @@ from rbgroups.enumeration import (
     splitting_report,
 )
 from rbgroups.errors import InvalidInput, OrderCapExceeded
+from rbgroups.groups import all_subgroups, exact_factorizations, is_normal
 from rbgroups.operators import elementary, rb_operator, weight_convert
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -137,3 +139,44 @@ def test_census_contains_elementaries(d4):
     images = set(census.image_tuples())
     assert elementary(d4, "b0").images in images
     assert elementary(d4, "b_minus1").images in images
+
+
+@pytest.mark.parametrize(
+    "name, size, n_sweeps", [("S4", 100, 31), ("Heis3", 810, 20), ("A5", 62, 60)]
+)
+def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_sweeps):
+    # one subgroup sweep of G, then one per subgroup (for its normal
+    # subgroups), and one quotient per (subgroup, normal subgroup) pair
+    G = corpus_group(name)
+    subs = all_subgroups(G)
+    pairs = sum(
+        sum(1 for N in all_subgroups(S.as_group().group) if is_normal(N))
+        for S in subs
+    )
+    sweeps = []
+    quotients = []
+    real_sweep, real_quotient = enumeration.all_subgroups, enumeration.quotient
+
+    def counting_sweep(H, *args, **kwargs):
+        sweeps.append(H)
+        return real_sweep(H, *args, **kwargs)
+
+    def counting_quotient(H, N):
+        quotients.append((id(H), N.elements))
+        return real_quotient(H, N)
+
+    monkeypatch.setattr(enumeration, "all_subgroups", counting_sweep)
+    monkeypatch.setattr(enumeration, "quotient", counting_quotient)
+    census = graph_enumerate(G)
+    assert len(census) == size
+    assert len(sweeps) == 1 + len(subs) == n_sweeps
+    assert len(quotients) == len(set(quotients)) <= pairs
+
+
+@pytest.mark.parametrize(
+    "name", ["S3", "D4", "A4", "S4", "Heis3", "A5", "Z2xZ2xZ2"]
+)
+def test_splitting_count_equals_exact_factorizations(name):
+    G = corpus_group(name)
+    report = splitting_report(graph_enumerate(G))
+    assert len(report.splitting) == len(exact_factorizations(G))

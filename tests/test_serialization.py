@@ -1,12 +1,19 @@
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rbgroups.corpus import corpus_group
 from rbgroups.enumeration import classify, graph_enumerate, is_rb_elementary, splitting_report
-from rbgroups.errors import OrderCapExceeded, SchemaViolation
+from rbgroups.errors import OrderCapExceeded, RBGroupsError, SchemaViolation
 from rbgroups.extension import extend_generators
-from rbgroups.groups import direct_product, semidirect_product, wreath_product
+from rbgroups.groups import (
+    FiniteGroup,
+    direct_product,
+    semidirect_product,
+    wreath_product,
+)
 from rbgroups.lie_ring import bracket_nonzero_count, graded_lie_ring, induced_rb
 from rbgroups.operators import elementary, rb_operator
 from rbgroups.serialization import (
@@ -183,3 +190,109 @@ def test_dumps_deterministic(s3):
     a = dumps(group_to_json(s3))
     b = dumps(json.loads(a))
     assert a == b
+
+
+# Hostile group documents.  Tables and permutations stay small and every
+# parse runs under a cap of 64, so no example builds a large product;
+# anything past the cap must be refused like any other bad input.
+PARSE_CAP = 64
+KINDS = ("table", "perm", "direct", "semidirect", "wreath")
+KEYS = ("name", "kind", "table", "labels", "perm_gens", "factors", "action")
+
+
+@st.composite
+def _tables(draw):
+    """Relabelled corpus tables, the same with one cell changed, Latin
+    squares that may be no group, and ragged tables; entries may be
+    negative or too large."""
+    shape = draw(st.sampled_from(["relabelled", "mutated", "latin", "random"]))
+    if shape in ("relabelled", "mutated"):
+        G = corpus_group(draw(st.sampled_from(["Z1", "Z2", "Z4", "S3", "Z2xZ2"])))
+        p = draw(st.permutations(range(G.order)))
+        t = [[0] * G.order for _ in G.elements()]
+        for i in G.elements():
+            for j in G.elements():
+                t[p[i]][p[j]] = p[G.table[i][j]]
+        if shape == "mutated":
+            i, j = draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.order - 1))
+            t[i][j] = draw(st.integers(-3, G.order + 3))
+        return t
+    n = draw(st.integers(0, 6))
+    if shape == "latin":
+        r, c, v = (draw(st.permutations(range(n))) for _ in range(3))
+        return [[v[(r[i] + c[j]) % n] for j in range(n)] for i in range(n)]
+    row = st.lists(st.integers(-3, n + 3), min_size=max(n - 1, 0), max_size=n + 1)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+_names = st.text(max_size=3)
+_perm_gens = st.lists(
+    st.one_of(
+        st.integers(1, 5).flatmap(lambda k: st.permutations(range(k))),
+        st.lists(st.integers(-2, 6), max_size=6),
+    ),
+    min_size=1, max_size=3,
+)
+_actions = st.one_of(
+    st.lists(st.lists(st.integers(-2, 7), max_size=6), max_size=6),
+    st.tuples(st.integers(1, 6), st.integers(0, 6)).map(
+        lambda km: [list(range(km[0]))] * km[1]),
+)
+_leaf_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"name": _names, "kind": st.just("table"), "table": _tables()}),
+    st.fixed_dictionaries(
+        {"name": _names, "kind": st.just("perm"), "perm_gens": _perm_gens}),
+)
+_group_docs = st.recursive(
+    _leaf_docs,
+    lambda children: st.one_of(
+        st.fixed_dictionaries(
+            {"name": _names, "kind": st.just("direct"),
+             "factors": st.lists(children, max_size=3)}),
+        st.fixed_dictionaries(
+            {"name": _names, "kind": st.just("semidirect"),
+             "factors": st.lists(children, min_size=2, max_size=2),
+             "action": _actions}),
+        st.fixed_dictionaries(
+            {"name": _names, "kind": st.just("wreath"),
+             "factors": st.lists(children, min_size=2, max_size=2)}),
+    ),
+    max_leaves=4,
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+              st.floats(allow_nan=False), st.text(max_size=4),
+              st.sampled_from(KINDS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=3)),
+                        children, max_size=5),
+    ),
+    max_leaves=15,
+)
+
+
+@st.composite
+def _mangled_docs(draw):
+    """A group document with some keys dropped or replaced by random JSON."""
+    doc = dict(draw(_group_docs))
+    for key in draw(st.lists(st.sampled_from(KEYS), max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_group_docs, _mangled_docs(), _json_values))
+def test_parse_group_returns_group_or_refuses(doc):
+    try:
+        G = parse_group(doc, cap=PARSE_CAP)
+    except RBGroupsError as exc:
+        event(type(exc).__name__)
+        return
+    event("group")
+    assert isinstance(G, FiniteGroup)
+    assert G.order <= PARSE_CAP
