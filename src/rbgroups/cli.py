@@ -231,8 +231,7 @@ def cmd_extend(args) -> int:
     G = _load_group(args)
     gens = _csv_ints(args.gens, "--gens")
     images = _csv_ints(args.images, "--images")
-    res, closure = _extend_with_closure(G, gens, images,
-                                        census_cap=args.census_cap)
+    res, closure = _extend_with_closure(G, gens, images)
     return _emit(extension_to_json(res, closure.group if closure else None))
 
 
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True, help="comma-separated generators")
     p.add_argument("--images", required=True,
                    help="comma-separated prescribed values")
-    p.add_argument("--census-cap", type=int, default=60, dest="census_cap")
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("lie-ring", help="graded ring of the lower central series")

@@ -41,6 +41,7 @@ from .groups import (
 )
 from .operators import (
     RBOperator,
+    _wrap_valid,
     conjugate,
     elementary,
     is_splitting,
@@ -68,14 +69,6 @@ __all__ = [
     "nonsplitting_witness",
     "wreath_rb",
 ]
-
-
-def _checked(G: FiniteGroup, images: Sequence[int], what: str) -> RBOperator:
-    op = RBOperator(G, images, weight=1)
-    v = verify(op)
-    if not v:
-        raise StructureViolation(f"{what} produced an invalid operator at {v.witness}")
-    return op
 
 
 def _same_table(A: FiniteGroup, B: FiniteGroup) -> bool:
@@ -118,7 +111,7 @@ def splitting_from_factorization(G: FiniteGroup, H: Subgroup,
             if images[g] != -1:
                 raise NotExactFactorization(f"element {g} decomposes twice")
             images[g] = G.inverses[l]
-    op = _checked(G, images, "splitting construction")
+    op = _wrap_valid(G, images, 1, "splitting construction")
     sp = is_splitting(op)
     if not sp or sp.kernel.elements != H.elements or sp.image.elements != L.elements:
         raise StructureViolation("splitting construction lost its factorization")
@@ -178,7 +171,7 @@ def triangular_splitting(G: FiniteGroup, H: Subgroup, L: Subgroup, M: Subgroup,
     images = [0] * G.order
     for g, (h, l, m) in dec.items():
         images[g] = G.table[c_parent[l]][G.inverses[m]]
-    op = _checked(G, images, "triangular splitting")
+    op = _wrap_valid(G, images, 1, "triangular splitting")
 
     dgc = derived_group(C)
     expected = direct_product(
@@ -214,7 +207,7 @@ def semidirect_rb(G: FiniteGroup, H: Subgroup, L: Subgroup,
         for l_local in packL.group.elements():
             l = packL.to_parent[l_local]
             images[row[l]] = packL.to_parent[C(l_local)]
-    op = _checked(G, images, "semidirect construction")
+    op = _wrap_valid(G, images, 1, "semidirect construction")
 
     dg = derived_group(op)
     ct = dg.circle_table
@@ -269,7 +262,7 @@ def hom_to_abelian(G: FiniteGroup, images: Sequence[int],
         for y in img[i + 1:]:
             if t[x][y] != t[y][x]:
                 raise ImageNotAbelian(f"image elements {x} and {y} do not commute")
-    return _checked(G, f, "abelian-image construction")
+    return _wrap_valid(G, f, 1, "abelian-image construction")
 
 
 @dataclass(frozen=True)
@@ -321,7 +314,7 @@ def central_conjugation(G: FiniteGroup, g: int) -> Optional[RBOperator]:
     t, inv = G.table, G.inverses
     gi = inv[g]
     images = [t[t[gi][inv[x]]][g] for x in G.elements()]
-    op = _checked(G, images, "central conjugation")
+    op = _wrap_valid(G, images, 1, "central conjugation")
     dg = derived_group(op)
     opp = opposite_group(G)
     if dg.group.table != opp.table:
@@ -369,7 +362,7 @@ def direct_product_rb(prod: DirectProduct,
         prod.encode([op.images[x] for op, x in zip(ops, prod.decode(g))])
         for g in G.elements()
     ]
-    return _checked(G, images, "componentwise construction")
+    return _wrap_valid(G, images, 1, "componentwise construction")
 
 
 def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
@@ -407,8 +400,8 @@ def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
         plain_images.append(prod.encode(plain_parts))
         tilde_images.append(prod.encode(tilde_parts))
 
-    plain_op = _checked(P, plain_images, "cascade")
-    tilde_op = _checked(P, tilde_images, "cascade mirror")
+    plain_op = _wrap_valid(P, plain_images, 1, "cascade")
+    tilde_op = _wrap_valid(P, tilde_images, 1, "cascade mirror")
     if tilde(plain_op).images != tilde_op.images:
         raise StructureViolation("cascade variants are not tilde partners")
     return plain_op if variant == "plain" else tilde_op
@@ -573,7 +566,7 @@ def power_product_rb(G: FiniteGroup, n: int, r,
                 acc = G.table[acc][power(parts[s], m[s, i])]
             comps.append(acc)
         plain_images.append(prod.encode(comps))
-    plain_op = _checked(P, plain_images, "matrix power product")
+    plain_op = _wrap_valid(P, plain_images, 1, "matrix power product")
     if psis is None:
         return plain_op
 
@@ -587,7 +580,7 @@ def power_product_rb(G: FiniteGroup, n: int, r,
                 acc = G.table[power(parts[s], m[s, i])][psis[s - 1](acc)]
             comps.append(G.table[power(parts[i], m[i, i])][psis[i - 1](acc)])
         twisted_images.append(prod.encode(comps))
-    twisted_op = _checked(P, twisted_images, "twisted matrix power product")
+    twisted_op = _wrap_valid(P, twisted_images, 1, "twisted matrix power product")
 
     chain = [list(range(G.order))]
     for psi in psis:
@@ -616,7 +609,7 @@ def nonsplitting_witness(H: FiniteGroup, L: FiniteGroup) -> RBOperator:
     for x in prod.group.elements():
         h1, _, _ = prod.decode(x)
         images.append(prod.encode((e_h, h1, e_l)))
-    op = _checked(prod.group, images, "non-splitting witness")
+    op = _wrap_valid(prod.group, images, 1, "non-splitting witness")
     if is_splitting(op):
         raise StructureViolation("witness operator unexpectedly splits")
     return op
@@ -647,7 +640,7 @@ def wreath_rb(W: WreathProduct, variant: str,
             l, f = W.decode(x)
             finv = tuple(H.inverses[v] for v in f)
             images.append(W.encode(L.identity, finv))
-        op = _checked(G, images, "base inversion")
+        op = _wrap_valid(G, images, 1, "base inversion")
         if not is_splitting(op):
             raise StructureViolation("base inversion must split")
         return op
@@ -664,7 +657,7 @@ def wreath_rb(W: WreathProduct, variant: str,
         for x in G.elements():
             l, _ = W.decode(x)
             images.append(W.encode(phi(l), trivial_f))
-        return _checked(G, images, "top endomorphism")
+        return _wrap_valid(G, images, 1, "top endomorphism")
 
     if variant == "componentwise":
         if L.order > 1 and H.order > 1:
@@ -687,6 +680,6 @@ def wreath_rb(W: WreathProduct, variant: str,
             l, f = W.decode(x)
             fb = base.decode(b_base(base.encode(f)))
             images.append(W.encode(b_top(l), fb))
-        return _checked(G, images, "componentwise wreath")
+        return _wrap_valid(G, images, 1, "componentwise wreath")
 
     raise InvalidInput(f"unknown wreath variant {variant!r}")

@@ -21,9 +21,19 @@ a finite certificate: two words with equal probe values but different
 image values.  Conversely a diagonal-free H of full size |G| decodes to
 an operator by reading B(x y^-1) = y off its pairs, and the encode map
 g -> (g B(g), B(g)) is then an isomorphism from the twisted group onto
-H.  A diagonal-free H of smaller size leaves the answer open locally;
-the decision falls back to a census of the whole group when its order
-permits, and is reported as undecided otherwise.
+H.
+
+A smaller diagonal-free H is searched: for the least g that no pair of
+H decodes to, and each u in ascending order, add (g, u) as one more
+prescribed pair and close again; skip u on a diagonal collision, decode
+a full-size closure, search a smaller one the same way.  No extension B
+is missed, as its graph contains H and (g B(g), B(g)), so it lies on
+the branch u = B(g).  A branch closure properly contains its parent
+subgroup, so at least doubles it: the depth is at most log2 |G|.  All
+extensions below a node agree before g, so the first full closure found
+is the lexicographically least extension.  The search is "undecided"
+only once its closures have visited SEARCH_BUDGET pairs (checked before
+each branch).
 """
 
 from __future__ import annotations
@@ -48,12 +58,11 @@ __all__ = [
     "closure_group",
     "ExtensionResult",
     "extend_generators",
-    "DEFAULT_CENSUS_CAP",
 ]
 
 Word = tuple  # of (generator_index, exponent) syllables, exponent nonzero
 
-DEFAULT_CENSUS_CAP = 60
+SEARCH_BUDGET = 1_000_000
 
 
 def _check_word(word: Sequence, s: int) -> None:
@@ -176,10 +185,11 @@ def word_identities_check(G: FiniteGroup, gens: Sequence[int],
 class ExtensionResult:
     """Outcome of the generator-extension decision.
 
-    status is "extends", "no_extension", or "undecided"; cond records
-    whether the pair closure avoids the diagonal; closure_order is the
-    size of the pair subgroup; via says how the decision was reached
-    ("closure" or "census").  witness, present exactly when cond fails,
+    status is "extends", "no_extension", or "undecided" (SEARCH_BUDGET
+    spent); cond records whether the pair closure avoids the diagonal;
+    closure_order is the size of the pair subgroup; via is "closure" if
+    that closure settles it, "search" if the branch search below it
+    does, None if undecided.  witness, present exactly when cond fails,
     is a pair of words with equal probe values but different image
     values.
     """
@@ -196,11 +206,11 @@ class ExtensionResult:
 
 
 def _closure_pairs(G: FiniteGroup, gens: Sequence[int],
-                   images: Sequence[int]):
+                   images: Sequence[int], whole: bool = False):
     """BFS closure of the generator pairs in G x G with parent pointers.
 
     Returns (pairs dict mapping pair -> parent step, first diagonal
-    collision or None).
+    collision or None); unless whole is set, the walk stops there.
     """
     t, inv = G.table, G.inverses
     e = G.identity
@@ -223,6 +233,8 @@ def _closure_pairs(G: FiniteGroup, gens: Sequence[int],
                 parents[p] = ((x, y), step)
                 if p[0] == p[1] and collision is None:
                     collision = p
+                    if not whole:
+                        return parents, collision
                 nxt.append(p)
         queue = nxt
     return parents, collision
@@ -354,25 +366,24 @@ def _decode_closure(G: FiniteGroup, gens: Sequence[int],
 
 
 def extend_generators(G: FiniteGroup, gens: Sequence[int],
-                      images: Sequence[int],
-                      census_cap: int = DEFAULT_CENSUS_CAP) -> ExtensionResult:
+                      images: Sequence[int]) -> ExtensionResult:
     """Decide whether B(a_i) = u_i extends to a valid operator on G.
 
     The generators must generate G.  A diagonal collision in the pair
     closure refutes every extension and yields a word witness; a
     diagonal-free closure of full size decodes to the unique extension.
-    A smaller diagonal-free closure is settled by a whole-group census
-    when |G| <= census_cap and reported as undecided otherwise.
+    A smaller one starts the branch search of the module docstring,
+    which finds the least extension, refutes all, or spends its budget.
     """
-    return _decide(G, gens, images, census_cap)[0]
+    return _decide(G, gens, images)[0]
 
 
 def _extend_with_closure(G: FiniteGroup, gens: Sequence[int],
-                         images: Sequence[int], census_cap: int,
+                         images: Sequence[int],
                          ) -> tuple[ExtensionResult, Optional[ClosureGroup]]:
     """extend_generators, and closure_group when the closure avoids the
     diagonal (None otherwise), both read off one pair closure."""
-    res, parents, pair_group = _decide(G, gens, images, census_cap)
+    res, parents, pair_group = _decide(G, gens, images)
     if not res.cond:
         return res, None
     if pair_group is None:
@@ -380,16 +391,14 @@ def _extend_with_closure(G: FiniteGroup, gens: Sequence[int],
     return res, _closure_of(G, gens, images, parents, pair_group)
 
 
-def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
-            census_cap: int):
-    """The decision of extend_generators, with the closure parents it was
-    read from and, for a full-size closure, the pair group it was decoded
-    through (None otherwise)."""
+def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
+    """The decision of extend_generators, the parents of the top closure,
+    and its pair group when that closure is full size (None otherwise)."""
     gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
 
-    parents, collision = _closure_pairs(G, gens, images)
+    parents, collision = _closure_pairs(G, gens, images, True)  # whole
     if collision is not None:
         w = _word_of(parents, collision)
         witness = (w, ())
@@ -402,28 +411,28 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
             via="closure", witness=witness,
         ), parents, None
 
-    if len(parents) == G.order:
-        pair_group = _pair_group(G, parents)
-        op = _decode_closure(G, gens, images, pair_group)
-        return ExtensionResult(
-            status="extends", cond=True, closure_order=len(parents),
-            via="closure", operator=op,
-        ), parents, pair_group
-
-    if G.order <= census_cap:
-        from .enumeration import graph_enumerate
-
-        for op in graph_enumerate(G).operators:
-            if all(op(a) == u for a, u in zip(gens, images)):
-                return ExtensionResult(
-                    status="extends", cond=True, closure_order=len(parents),
-                    via="census", operator=op,
-                ), parents, None
-        return ExtensionResult(
-            status="no_extension", cond=True, closure_order=len(parents),
-            via="census",
-        ), parents, None
+    # the search of the module docstring, depth first from the closure
+    t, inv = G.table, G.inverses
+    stack, spent, node = [], 0, parents
+    while node is None or len(node) < G.order:
+        if node is not None:
+            decoded = {t[x][inv[y]] for x, y in node}
+            g = next(x for x in G.elements() if x not in decoded)
+            stack += [(gens + [g], images + [u]) for u in reversed(G.elements())]
+        if not stack or spent >= SEARCH_BUDGET:
+            return ExtensionResult(
+                status="undecided" if stack else "no_extension", cond=True,
+                closure_order=len(parents), via=None if stack else "search",
+            ), parents, None
+        gens, images = stack.pop()
+        node, collision = _closure_pairs(G, gens, images)
+        spent += len(node)
+        if collision is not None:
+            node = None
+    pair_group = _pair_group(G, node)
+    op = _decode_closure(G, gens, images, pair_group)
+    via = "closure" if node is parents else "search"
     return ExtensionResult(
-        status="undecided", cond=True, closure_order=len(parents),
-        via=None,
-    ), parents, None
+        status="extends", cond=True, closure_order=len(parents),
+        via=via, operator=op,
+    ), parents, pair_group if via == "closure" else None

@@ -1,10 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rbgroups import extension
 from rbgroups.cli import main
-from rbgroups.corpus import corpus_group
+from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.serialization import dumps, group_to_json
 
 
@@ -150,7 +154,7 @@ def test_extend_census_refutation(capsys):
     j = run_json(capsys, "extend", "--corpus", "S3",
                  "--gens", "1,2", "--images", "1,0")
     assert j["status"] == "no_extension"
-    assert j["cond"] is True and j["via"] == "census"
+    assert j["cond"] is True and j["via"] == "search"
     assert j["gbar"]["order"] == 4
     # with the condition holding, gbar is a full group payload
     assert j["gbar"]["kind"] == "table"
@@ -173,10 +177,46 @@ def test_extend_success(capsys):
     assert j["extension"]["images"] == [0, 1, 2, 4, 3, 5]
 
 
-def test_extend_undecided(capsys):
+def test_extend_undecided(monkeypatch, capsys):
+    monkeypatch.setattr(extension, "SEARCH_BUDGET", 0)
     j = run_json(capsys, "extend", "--corpus", "S3",
-                 "--gens", "1,2", "--images", "1,0", "--census-cap", "4")
+                 "--gens", "1,2", "--images", "1,0")
     assert j["status"] == "undecided"
+
+
+SMALL_ORDERS = {n: corpus_group(n).order for n in corpus_names()
+                if corpus_group(n).order <= 12}
+
+
+@st.composite
+def _extend_argv(draw):
+    """`rbg extend` on a small corpus group, each of --gens and --images
+    either a comma-separated list of ids (mostly in range, some negative
+    or past the order) or arbitrary text over digits, signs, separators
+    and letters."""
+    name = draw(st.sampled_from(sorted(SMALL_ORDERS)))
+    ids = st.integers(min_value=-1, max_value=SMALL_ORDERS[name])
+    values = []
+    for _ in range(2):
+        if draw(st.integers(0, 3)) == 0:
+            values.append(draw(st.text(alphabet="0123456789,-+ _x.", max_size=12)))
+        else:
+            values.append(",".join(map(str, draw(st.lists(ids, max_size=4)))))
+    return ["extend", "--corpus", name, f"--gens={values[0]}",
+            f"--images={values[1]}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_extend_argv())
+def test_extend_answers_or_refuses(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        event(json.loads(out.getvalue())["status"])
+    else:
+        event(f"exit {code}")
 
 
 def test_extend_builds_closure_once(monkeypatch, capsys):

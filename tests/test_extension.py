@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from rbgroups import extension
 from rbgroups.corpus import corpus_group
 from rbgroups.errors import CondFails, InvalidInput
 from rbgroups.extension import (
@@ -12,18 +14,24 @@ from rbgroups.extension import (
     word_pair,
     word_probe,
 )
-from rbgroups.groups import GroupMap, is_isomorphic, subgroup_generated
+from rbgroups.enumeration import graph_enumerate
+from rbgroups.groups import (
+    GroupMap,
+    direct_product,
+    generating_sequence,
+    is_isomorphic,
+    subgroup_generated,
+)
 from rbgroups.operators import verify
 
 # the three standing problems on S3: extendable (to inversion), refuted
-# by a probe collision, refuted only by census
+# by a probe collision, refuted only by the branch search below a
+# partial closure
 PROBLEMS = (([1, 2], [1, 2]), ([1, 2, 5], [1, 2, 4]), ([1, 2], [1, 0]))
 
 
 @pytest.fixture(scope="module")
 def s3_census():
-    from rbgroups.enumeration import graph_enumerate
-
     return graph_enumerate(corpus_group("S3"))
 
 
@@ -57,16 +65,76 @@ def test_frozen_collision_words(s3):
 def test_census_refutation(s3):
     res = extend_generators(s3, [1, 2], [1, 0])
     assert res.status == "no_extension" and res.cond
-    assert res.via == "census"
+    assert res.via == "search"
     assert res.closure_order == 4
     assert res.operator is None and res.witness is None
 
 
-def test_census_undecided_with_tiny_cap(s3):
-    res = extend_generators(s3, [1, 2], [1, 0], census_cap=4)
+def test_census_undecided_with_tiny_cap(s3, monkeypatch):
+    monkeypatch.setattr(extension, "SEARCH_BUDGET", 0)
+    res = extend_generators(s3, [1, 2], [1, 0])
     assert res.status == "undecided" and res.cond
     assert res.via is None
     assert res.closure_order == 4
+
+
+def _census_answer(census, gens, images):
+    """The first census operator taking the prescribed values, or None."""
+    return next(
+        (op.images for op in census.operators
+         if all(op(a) == u for a, u in zip(gens, images))),
+        None,
+    )
+
+
+def test_search_agrees_with_census():
+    # 300 seeded prescriptions per group, half restrictions of census
+    # operators and half random values, on the greedy generating
+    # sequence or on a random generating set of up to three elements
+    rng = random.Random(20261018)
+    decided = {}
+    for name in ("S3", "D4", "A4", "S4", "Heis3", "A5"):
+        G = corpus_group(name)
+        census = graph_enumerate(G)
+        for k in range(300):
+            if k % 3 == 0:
+                gens = list(generating_sequence(G))
+            else:
+                gens = rng.sample(range(G.order), rng.randint(1, 3))
+                while not subgroup_generated(G, gens).is_whole_group():
+                    gens = rng.sample(range(G.order), rng.randint(1, 3))
+            if k % 2 == 0:
+                op = rng.choice(census.operators)
+                images = [op(a) for a in gens]
+            else:
+                images = [rng.randrange(G.order) for _ in gens]
+            res = extend_generators(G, gens, images)
+            first = _census_answer(census, gens, images)
+            assert res.status == ("extends" if first else "no_extension")
+            if first:
+                assert res.operator.images == first
+            key = (res.via, res.status)
+            decided[key] = decided.get(key, 0) + 1
+    # partial closures both with and without an extension were searched
+    assert decided[("search", "extends")] > 0
+    assert decided[("search", "no_extension")] > 0
+
+
+def test_search_beyond_old_census_order():
+    # order 72: a partial closure of size 36 with several extensions,
+    # settled by the search as the least census operator
+    G = direct_product(corpus_group("S4"), corpus_group("Z3")).group
+    gens = list(generating_sequence(G))
+    images = [0, 0, 0, 15]
+    res = extend_generators(G, gens, images)
+    assert res.status == "extends" and res.via == "search"
+    assert res.closure_order == 36
+    census = graph_enumerate(G)
+    assert len(census) == 612
+    matches = [op.images for op in census.operators
+               if all(op(a) == u for a, u in zip(gens, images))]
+    assert len(matches) > 1
+    assert res.operator.images == matches[0]
 
 
 def test_partial_closure_still_extends(s3):
