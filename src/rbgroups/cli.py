@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -98,7 +99,7 @@ def _subgroup(G: FiniteGroup, raw: str, flag: str) -> Subgroup:
 
 
 def _emit(payload: dict) -> int:
-    print(dumps(payload))
+    print(dumps(payload), flush=True)
     return 0
 
 
@@ -278,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all operators")
     _add_group_args(p)
-    p.add_argument("--method", choices=("auto", "brute", "graph"),
-                   default="auto")
+    p.add_argument("--method", choices=("brute", "graph"), default="graph")
     p.add_argument("--weight", type=int, default=1, choices=(1, -1))
     p.add_argument("--classify", action="store_true")
     p.add_argument("--splitting", action="store_true")
@@ -288,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="enumerate and group into classes")
     _add_group_args(p)
-    p.add_argument("--method", choices=("auto", "brute", "graph"),
-                   default="auto")
+    p.add_argument("--method", choices=("brute", "graph"), default="graph")
     p.add_argument("--weight", type=int, default=1, choices=(1, -1))
     p.add_argument("--splitting", action="store_true")
     p.set_defaults(fn=cmd_classify)
@@ -343,12 +342,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except SchemaViolation as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except RBGroupsError as exc:
-        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
+        try:
+            return args.fn(args)
+        except SchemaViolation as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        except RBGroupsError as exc:
+            _emit({"error": type(exc).__name__, "message": str(exc)})
+            return 1
+    except BrokenPipeError:
+        # Point stdout at the null device so the final flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -57,7 +57,6 @@ from .operators import (
     is_splitting,
     kernel,
     tilde,
-    conjugate,
     verify,
 )
 
@@ -276,34 +275,35 @@ def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
 def classify(census: Census) -> Census:
     """Partition a census into orbits under conjugation and tilde.
 
+    Conjugation by Aut(G) commutes with the tilde involution, so the
+    symmetry group is Aut(G) x <tilde> and the orbit of B is Aut.B
+    together with Aut.tilde(B).  Each half is one gather over the
+    automorphisms stacked as rows of P: Pinv[k][B[P[k][g]]] is B
+    conjugated by the k-th one, at g.  Rows are looked up in the census,
+    which must be closed under both moves; none is verified again.
+
     The orbit representative is the lexicographically least image array;
     orbits are sorted by representative.
     """
     G = census.group
-    auts = automorphisms(G)
+    P = np.array([phi.images for phi in automorphisms(G)], dtype=np.intp)
+    Pinv = np.argsort(P, axis=1)
     index = {op.images: i for i, op in enumerate(census.operators)}
-    seen = [False] * len(census.operators)
+    seen: set[int] = set()
     orbits = []
     for start, op in enumerate(census.operators):
-        if seen[start]:
+        if start in seen:
             continue
-        frontier = [op]
-        members = {start}
-        seen[start] = True
-        while frontier:
-            cur = frontier.pop()
-            moves = [tilde(cur)]
-            moves.extend(conjugate(cur, phi) for phi in auts)
-            for nxt in moves:
-                j = index.get(nxt.images)
+        members = set()
+        for images in (op.images, tilde(op).images):
+            for row in np.take_along_axis(Pinv, np.array(images)[P], axis=1).tolist():
+                j = index.get(tuple(row))
                 if j is None:
                     raise StructureViolation(
                         "census is not closed under conjugation and tilde"
                     )
-                if not seen[j]:
-                    seen[j] = True
-                    members.add(j)
-                    frontier.append(census.operators[j])
+                members.add(j)
+        seen |= members
         rep = min(census.operators[j].images for j in members)
         orbits.append(OrbitClass(rep, tuple(sorted(members))))
     orbits.sort(key=lambda o: o.representative)

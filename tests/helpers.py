@@ -55,3 +55,41 @@ def random_images(G, rng, fix_identity=True):
     if fix_identity:
         imgs[G.identity] = G.identity
     return imgs
+
+
+def reference_orbits(G, census_images, auts):
+    """Orbits of weight-+1 image tuples under conjugation and tilde.
+
+    A closure search on plain tuples, one move per automorphism
+    (B -> phi^-1 . B . phi, with phi given as its image tuple) and one for
+    tilde (B -> g -> g^-1 B(g^-1)).  Returns (representative, members)
+    pairs sorted by representative, the representative being the least
+    member and members the sorted indices into census_images.
+    """
+    t, inv = G.table, G.inverses
+    index = {B: i for i, B in enumerate(census_images)}
+    moves = []
+    for phi in auts:
+        phi_inv = [0] * G.order
+        for g, x in enumerate(phi):
+            phi_inv[x] = g
+        moves.append(lambda B, phi=phi, phi_inv=phi_inv:
+                     tuple(phi_inv[B[phi[g]]] for g in G.elements()))
+    moves.append(lambda B: tuple(t[inv[g]][B[inv[g]]] for g in G.elements()))
+    seen = set()
+    out = []
+    for start, images in enumerate(census_images):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [images]
+        while frontier:
+            B = frontier.pop()
+            for move in moves:
+                j = index[move(B)]
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(census_images[j])
+        seen |= orbit
+        out.append((min(census_images[j] for j in orbit), tuple(sorted(orbit))))
+    return sorted(out)

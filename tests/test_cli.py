@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -297,3 +299,33 @@ def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--corpus", "S4"],
+    ["construct", "--corpus", "S3", "--family", "splitting",
+     "--kernel", "3", "--image", "4"],
+])
+def test_closed_pipe_exits_1_quietly(tmp_path, monkeypatch, capsys, argv):
+    # as in `rbg enumerate --corpus S4 | head -c 20`, for an answer and
+    # for a refusal: exit 1 without a traceback, with the descriptor
+    # moved to the null device so the final flush cannot raise again
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(argv) == 1
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import exhaustive_census
-from rbgroups import enumeration
+from helpers import exhaustive_census, reference_orbits
+from rbgroups import enumeration, operators
 from rbgroups.corpus import corpus_group
 from rbgroups.enumeration import (
     brute_force_enumerate,
@@ -16,7 +16,7 @@ from rbgroups.enumeration import (
     splitting_report,
 )
 from rbgroups.errors import InvalidInput, OrderCapExceeded
-from rbgroups.groups import all_subgroups, exact_factorizations, is_normal
+from rbgroups.groups import all_subgroups, automorphisms, exact_factorizations, is_normal
 from rbgroups.operators import elementary, rb_operator, weight_convert
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -89,9 +89,35 @@ def test_classify_s3(s3):
 
 def test_classify_orbit_counts():
     counts = _golden_counts()["orbits"]
-    for name in ("S3", "Z2xZ2", "Z4xZ2", "D4", "Q8", "A4"):
+    for name in sorted(counts):
         census = classify(graph_enumerate(corpus_group(name)))
         assert len(census.classes) == counts[name], name
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ2", "S4", "A5"])
+def test_classify_matches_reference_orbits(monkeypatch, name):
+    # classify gathers over the stacked automorphisms: one automorphism
+    # search, one tilde per orbit, and no operator is verified again
+    G = corpus_group(name)
+    census = graph_enumerate(G)
+    images = census.image_tuples()
+    expected = reference_orbits(G, images, [phi.images for phi in automorphisms(G)])
+    calls = {"auts": 0, "tilde": 0, "defect": 0}
+    real_auts, real_tilde = enumeration.automorphisms, enumeration.tilde
+    real_defect = operators._first_defect
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "automorphisms", counting("auts", real_auts))
+    monkeypatch.setattr(enumeration, "tilde", counting("tilde", real_tilde))
+    monkeypatch.setattr(operators, "_first_defect", counting("defect", real_defect))
+    classes = classify(census).classes
+    assert [(c.representative, c.members) for c in classes] == expected
+    assert calls == {"auts": 1, "tilde": len(classes), "defect": 0}
 
 
 def test_elementary_verdict_z3():

@@ -1,4 +1,8 @@
+import functools
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_images, reference_verify
 from rbgroups.corpus import corpus_group, corpus_names
@@ -79,10 +83,22 @@ def test_census_all_reference_valid(s3_census):
 
 
 def test_tilde_involution(s3_census):
-    for op in s3_census.operators:
-        tt = tilde(tilde(op))
-        assert tt.images == op.images
-        assert verify(tilde(op))
+    # the transports return operators marked valid without a check, so
+    # their images are checked here by the reference, at the right weight
+    for census in (s3_census, graph_enumerate(corpus_group("D4"))):
+        G = census.group
+        auts = automorphisms(G)
+        for op in census.operators:
+            tt = tilde(tilde(op))
+            assert tt.images == op.images
+            assert verify(tilde(op))
+            assert reference_verify(G, tilde(op).images) is None
+            for phi in auts:
+                assert reference_verify(G, conjugate(op, phi).images) is None
+            for convert in (weight_convert, inverse_argument_convert):
+                c = convert(op)
+                assert reference_verify(G, c.images, c.weight) is None
+                assert c.weight == -1
 
 
 def test_tilde_swaps_elementary(s3):
@@ -191,3 +207,37 @@ def test_deep_values(s3, z4):
     d4 = corpus_group("D4")
     values = sorted({deep(op) for op in graph_enumerate(d4).operators})
     assert values == [0, 1, 2, 3]
+
+
+SMALL_NAMES = [n for n in corpus_names() if corpus_group(n).order <= 12]
+
+
+@functools.cache
+def _census_images(name, weight):
+    ops = graph_enumerate(corpus_group(name)).operators
+    if weight == -1:
+        ops = [weight_convert(op) for op in ops]
+    return [op.images for op in ops]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_reference(data):
+    # random maps, census operators at either weight, and census
+    # operators with one entry changed, on corpus groups of order <= 12
+    name = data.draw(st.sampled_from(SMALL_NAMES))
+    weight = data.draw(st.sampled_from((1, -1)))
+    G = corpus_group(name)
+    n = G.order
+    shape = data.draw(st.sampled_from(["random", "census", "mutated"]))
+    if shape == "random":
+        imgs = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    else:
+        imgs = list(data.draw(st.sampled_from(_census_images(name, weight))))
+        if shape == "mutated":
+            imgs[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    v = verify(rb_operator(G, imgs, weight))
+    ref = reference_verify(G, imgs, weight)
+    event(f"{shape}, {'valid' if ref is None else 'invalid'}")
+    assert bool(v) == (ref is None)
+    assert v.witness == ref

@@ -296,3 +296,43 @@ def test_parse_group_returns_group_or_refuses(doc):
     event("group")
     assert isinstance(G, FiniteGroup)
     assert G.order <= PARSE_CAP
+
+
+OPERATOR_KEYS = ("group", "weight", "images")
+
+
+@st.composite
+def _operator_docs(draw):
+    """An operator document for a small corpus group: the right or a wrong
+    group reference, any weight, images of any length and range, and some
+    keys dropped or replaced by random JSON."""
+    G = corpus_group(draw(st.sampled_from(["Z1", "Z4", "S3", "D4"])))
+    doc = {
+        "group": draw(st.one_of(st.sampled_from([G.name, group_hash(G)]),
+                                st.text(max_size=3))),
+        "weight": draw(st.one_of(st.sampled_from([1, -1, 0, 2, True]), _json_values)),
+        "images": draw(st.one_of(
+            st.lists(st.integers(0, G.order - 1), min_size=G.order, max_size=G.order),
+            st.lists(st.integers(-2, G.order + 2), min_size=max(G.order - 1, 0),
+                     max_size=G.order + 1),
+            _json_values)),
+    }
+    for key in draw(st.lists(st.sampled_from(OPERATOR_KEYS), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_json_values)
+    return G, draw(st.one_of(st.just(doc), _json_values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_operator_docs())
+def test_parse_operator_returns_operator_or_refuses(case):
+    G, doc = case
+    try:
+        op = parse_operator(doc, G)
+    except RBGroupsError as exc:
+        event(type(exc).__name__)
+        return
+    event("operator")
+    assert op.group is G and len(op.images) == G.order
