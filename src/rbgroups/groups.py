@@ -4,6 +4,26 @@ Every group in this library is a `FiniteGroup`: a fully validated Cayley
 table together with the located identity and the inverse of each element.
 All constructors validate completely (Latin property, identity,
 associativity), so downstream algorithms never re-check the axioms.
+
+How the axioms are decided.  `_validate_table` runs its checks in a
+fixed order: ragged rows and out-of-range entries, every row a
+permutation, every column a permutation, a two-sided identity,
+associativity, two-sided inverses.  An outside table is read row by row
+with int() for the first two; an integer array, as the product
+constructors build, is checked as it is.  Above order
+`_LIST_CHECKS_UP_TO` the Latin, associativity and inverse checks are
+array operations on the n x n table; up to it they walk the rows as
+lists, with the same results, because numpy's cost per call outweighs
+the work on small tables.  Once the table is Latin, O(n) reads settle
+the identity.  Associativity is decided exactly by Light's test
+(Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2): it
+compares (x*s)*y with x*(s*y) over all x, y for each s of a generating
+set chosen greedily from the table, at most ceil(log2 n) of them, so it
+costs O(n^2 log n) rather than the O(n^3) of a scan over all triples.
+That scan (`_check_associative`) runs only on a table Light's test has
+rejected, to name the lexicographically first failing triple.
+`GroupMap.hom_defect` checks a homomorphism on all pairs, in one gather
+above the same order.
 """
 
 from __future__ import annotations
@@ -65,68 +85,127 @@ __all__ = [
 # table validation
 
 
-def _validate_table(table: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Check the group axioms on a raw table; return (identity, inverses)."""
+# Up to this order the group axioms and homomorphisms are checked by
+# walking lists, above it by array operations.  Both sides give the same
+# results and messages.  On small tables numpy's fixed cost per call
+# outweighs the O(n^2) work, and most tables a census builds (quotients
+# and repacked subgroups) have order 4 or less; from about order 16 the
+# arrays are faster.
+_LIST_CHECKS_UP_TO = 16
+
+
+def _table_rows(table) -> tuple[list[list[int]], Optional[np.ndarray]]:
+    """The table as rows of ints after the ragged-row and range checks, and
+    as an n x n integer array when n exceeds _LIST_CHECKS_UP_TO (else
+    None).  An integer ndarray is checked as it is; any other table is
+    read row by row with int()."""
     n = len(table)
     if n == 0:
         raise NotLatinSquare("empty table")
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        if table.shape[1] != n:
+            raise NotLatinSquare(f"row 0 has length {table.shape[1]}, expected {n}")
+        if table.min() < 0 or table.max() >= n:
+            i, j = divmod(int(((table < 0) | (table >= n)).argmax()), n)
+            raise NotLatinSquare(f"row {i} contains out-of-range entry {table[i, j]}")
+        return table.tolist(), (table if n > _LIST_CHECKS_UP_TO else None)
     rows = []
     for i, row in enumerate(table):
-        row = tuple(int(x) for x in row)
+        row = list(map(int, row))
         if len(row) != n:
             raise NotLatinSquare(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise NotLatinSquare(f"row {i} contains out-of-range entry {x}")
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise NotLatinSquare(f"row {i} contains out-of-range entry {x}")
         rows.append(row)
+    return rows, (np.array(rows, dtype=np.int32) if n > _LIST_CHECKS_UP_TO else None)
 
-    full = tuple(range(n))
-    for i, row in enumerate(rows):
-        if tuple(sorted(row)) != full:
-            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        col = sorted(rows[i][j] for i in range(n))
-        if tuple(col) != full:
-            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
 
-    identity = -1
-    for e in range(n):
-        if rows[e] == full and all(rows[g][e] == g for g in range(n)):
-            identity = e
-            break
-    if identity < 0:
+def _validate_table(table) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Check the group axioms on a raw table; return (rows, identity, inverses),
+    rows being the table as lists of ints."""
+    rows, t = _table_rows(table)
+    n = len(rows)
+    full = list(range(n))
+    if t is None:
+        columns = list(zip(*rows))
+        for kind, lines in (("row", rows), ("column", columns)):
+            for i, line in enumerate(lines):
+                if sorted(line) != full:
+                    raise NotLatinSquare(f"{kind} {i} is not a permutation of 0..{n - 1}")
+    else:
+        # where[0, i, v] is the column of v in row i, where[1, j, v] the row
+        # of v in column j, and -1 where the row or column lacks v
+        idx = np.arange(n)
+        where = np.full((2, n, n), -1, dtype=np.int32)
+        where[0, idx[:, None], t] = idx
+        where[1, idx, t] = idx[:, None]
+        latin = (where >= 0).all(axis=2)
+        if not latin.all():
+            which, i = divmod(int(latin.argmin()), n)
+            kind = ("row", "column")[which]
+            raise NotLatinSquare(f"{kind} {i} is not a permutation of 0..{n - 1}")
+
+    # column 0 is a permutation, so only one row e has e*0 = 0, and only
+    # that row can be the identity's: O(n) reads decide the identity
+    identity = [row[0] for row in rows].index(0)
+    if rows[identity] != full or [row[identity] for row in rows] != full:
         raise NoIdentity("no two-sided identity element")
 
-    _check_associative(rows, n)
+    _check_light(rows, t, identity)
 
-    inverses = [0] * n
+    # g*x = e for x = right[g], and y*g = e for y = left[g]
+    if t is None:
+        right = [row.index(identity) for row in rows]
+        left = [col.index(identity) for col in columns]
+    else:
+        right = where[0, :, identity].tolist()
+        left = where[1, :, identity].tolist()
     for g in range(n):
-        x = rows[g].index(identity)
-        if rows[x][g] != identity:
+        if right[g] != left[g]:
             raise NotAssociative(f"one-sided inverse at element {g}")
-        inverses[g] = x
-    return identity, tuple(inverses)
+    return rows, identity, tuple(right)
 
 
-def _check_associative(rows: Sequence[tuple[int, ...]], n: int) -> None:
-    if n <= 32:
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = rows[b]
-                rab = rows[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-        return
-    t = np.array(rows, dtype=np.int32)
-    for a in range(n):
-        lhs = t[t[a], :]
+def _check_light(rows: list[list[int]], t: Optional[np.ndarray], identity: int) -> None:
+    """Decide associativity of a Latin table with identity by Light's test,
+    on the rows, or on the array t when there is one.
+
+    Let A be the set of elements a with (xa)y = x(ay) for all x, y.  A
+    holds the identity and is closed under the product: for a, b in A,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The test
+    checks that every generator s of `_greedy_generators` is in A,
+    comparing (x*s)*y with x*(s*y) over all x, y: row by row, or as the
+    arrays t[t[:, s]] and t[:, t[s]].  Then A holds every left-normed
+    word in the generators, and those words are exactly what closing
+    the identity under right multiplication reaches: every element.  So
+    A is everything and the table is associative.
+
+    While the generators pass, the words reached are closed under the
+    product and associative, so they form a group, and each further
+    generator lies outside it and at least doubles it.  At most
+    ceil(log2 n) generators are checked, each in O(n^2): O(n^2 log n) in
+    all, on any table.  On the first failing generator the full scan
+    names the first failing triple.
+    """
+    for s in _greedy_generators(rows, identity):
+        if t is None:
+            rs = rows[s]
+            holds = all(rows[rx[s]] == [rx[v] for v in rs] for rx in rows)
+        else:
+            holds = (t[t[:, s]] == t[:, t[s]]).all()
+        if not holds:
+            _check_associative(np.array(rows) if t is None else t)
+
+
+def _check_associative(t: np.ndarray) -> None:
+    """Scan every triple; raise NotAssociative naming the lexicographically
+    first (a, b, c) with (a*b)*c != a*(b*c)."""
+    for a in range(len(t)):
+        lhs = t[t[a]]
         rhs = t[a][t]
         if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)
-            b, c = int(bad[0][0]), int(bad[0][1])
+            b, c = np.argwhere(lhs != rhs)[0].tolist()
             raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
 
@@ -264,9 +343,11 @@ def from_cayley_table(
     name: str = "",
     labels: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
-    """Build a group from a full multiplication table, validating the axioms."""
-    identity, inverses = _validate_table(table)
-    return FiniteGroup(table, identity, inverses, name=name, labels=labels)
+    """Build a group from a full multiplication table, validating the axioms.
+
+    The table is a sequence of rows, or an n x n integer ndarray."""
+    rows, identity, inverses = _validate_table(table)
+    return FiniteGroup(rows, identity, inverses, name=name, labels=labels)
 
 
 def _perm_cycles(p: Sequence[int]) -> str:
@@ -334,8 +415,8 @@ def from_permutations(
         for j, q in enumerate(elems):
             table[i][j] = index[tuple(p[q[x]] for x in range(k))]
     labels = [_perm_cycles(p) for p in elems]
-    identity, inverses = _validate_table(table)
-    return FiniteGroup(table, identity, inverses, name=name, labels=labels)
+    rows, identity, inverses = _validate_table(table)
+    return FiniteGroup(rows, identity, inverses, name=name, labels=labels)
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
@@ -387,13 +468,7 @@ class GroupMap:
     def hom(domain: FiniteGroup, codomain: FiniteGroup,
             images: Sequence[int]) -> "GroupMap":
         """Build a map and verify it is a homomorphism."""
-        m = GroupMap(domain, codomain, tuple(images), homomorphism=False)
-        w = m.hom_defect()
-        if w is not None:
-            a, b = w
-            raise NotHomomorphism(f"not a homomorphism at pair ({a}, {b})")
-        bij = len(set(m.images)) == codomain.order and domain.order == codomain.order
-        return GroupMap(domain, codomain, m.images, homomorphism=True, bijective=bij)
+        return _checked_hom(domain, codomain, images)
 
     @staticmethod
     def automorphism(G: FiniteGroup, images: Sequence[int]) -> "GroupMap":
@@ -403,14 +478,8 @@ class GroupMap:
         return m
 
     def hom_defect(self) -> Optional[tuple[int, int]]:
-        """First pair where f(ab) != f(a)f(b), or None."""
-        dt, ct, f = self.domain.table, self.codomain.table, self.images
-        for a in self.domain.elements():
-            fa = f[a]
-            for b in self.domain.elements():
-                if f[dt[a][b]] != ct[fa][f[b]]:
-                    return (a, b)
-        return None
+        """First pair in row-major order where f(ab) != f(a)f(b), or None."""
+        return _hom_defect(self)
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """self after other (apply `other` first)."""
@@ -436,6 +505,46 @@ class GroupMap:
 
     def image_set(self) -> frozenset[int]:
         return frozenset(self.images)
+
+
+def _hom_defect(m: GroupMap, dt: Optional[np.ndarray] = None,
+                ct: Optional[np.ndarray] = None) -> Optional[tuple[int, int]]:
+    """First pair in row-major order where f(ab) != f(a)f(b), or None.
+
+    A domain up to order _LIST_CHECKS_UP_TO is walked pair by pair; a
+    larger one takes one gather over the domain and codomain tables as
+    arrays, dt and ct when the caller holds them.
+    """
+    f = m.images
+    if m.domain.order <= _LIST_CHECKS_UP_TO:
+        dt, ct = m.domain.table, m.codomain.table
+        for a in m.domain.elements():
+            fa = f[a]
+            for b in m.domain.elements():
+                if f[dt[a][b]] != ct[fa][f[b]]:
+                    return (a, b)
+        return None
+    dt = m.domain.np_table() if dt is None else dt
+    ct = m.codomain.np_table() if ct is None else ct
+    fs = np.array(f, dtype=np.int32)
+    bad = fs[dt] != ct[fs[:, None], fs]
+    if not bad.any():
+        return None
+    a, b = divmod(int(bad.argmax()), len(fs))
+    return a, b
+
+
+def _checked_hom(domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int],
+                 dt: Optional[np.ndarray] = None,
+                 ct: Optional[np.ndarray] = None) -> GroupMap:
+    """`GroupMap.hom`, with the two tables as arrays when the caller holds them."""
+    m = GroupMap(domain, codomain, tuple(images))
+    w = _hom_defect(m, dt, ct)
+    if w is not None:
+        a, b = w
+        raise NotHomomorphism(f"not a homomorphism at pair ({a}, {b})")
+    bij = len(set(m.images)) == codomain.order and domain.order == codomain.order
+    return GroupMap(domain, codomain, m.images, homomorphism=True, bijective=bij)
 
 
 def fixed_point_free(phi: GroupMap) -> bool:
@@ -528,13 +637,14 @@ class Subgroup:
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """The smallest subgroup containing the given elements."""
-    return Subgroup(G, _closure(G, tuple(gens)))
+    return Subgroup(G, _closure(G.table, G.identity, tuple(gens)))
 
 
-def _closure(G: FiniteGroup, gens: Sequence[int]) -> frozenset[int]:
-    known = {G.identity}
-    frontier = [G.identity]
-    table = G.table
+def _closure(table: Sequence[Sequence[int]], identity: int,
+             gens: Sequence[int]) -> frozenset[int]:
+    """Everything reached from the identity by right multiplication by gens."""
+    known = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
@@ -569,7 +679,7 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
 
     add(frozenset({G.identity}), ())
     for g in G.elements():
-        add(_closure(G, (g,)), (g,))
+        add(_closure(G.table, G.identity, (g,)), (g,))
 
     i = 0
     while i < len(queue):
@@ -579,7 +689,7 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
             continue
         for g in G.elements():
             if g not in elems:
-                bigger = _closure(G, gens + (g,))
+                bigger = _closure(G.table, G.identity, gens + (g,))
                 add(bigger, gens + (g,))
 
     subs = [Subgroup(G, elems) for elems in seen]
@@ -701,7 +811,7 @@ def _mixed_radix_maps(orders: Sequence[int]):
 
 def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
     """The direct product of the factor tables, numbered as _mixed_radix_maps."""
-    out = np.zeros((1, 1), dtype=np.int64)
+    out = np.zeros((1, 1), dtype=np.int32)
     for t in tables:
         n, m = len(out), len(t)
         out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(n * m, n * m)
@@ -725,22 +835,24 @@ class DirectProduct:
         if not name:
             parts = [F.name or "?" for F in factors]
             name = "x".join(parts) if all(F.name for F in factors) else ""
-        self.group = from_cayley_table(table.tolist(), name=name)
-        self.injections = tuple(self._injection(i) for i in range(len(factors)))
-        self.projections = tuple(self._projection(i) for i in range(len(factors)))
+        self.group = from_cayley_table(table, name=name)
+        self.injections = tuple(self._injection(i, table) for i in range(len(factors)))
+        self.projections = tuple(self._projection(i, table) for i in range(len(factors)))
 
-    def _injection(self, i: int) -> GroupMap:
+    def _injection(self, i: int, table: np.ndarray) -> GroupMap:
         idbase = [F.identity for F in self.factors]
         images = []
         for g in self.factors[i].elements():
             parts = list(idbase)
             parts[i] = g
             images.append(self.encode(parts))
-        return GroupMap.hom(self.factors[i], self.group, images)
+        F = self.factors[i]
+        return _checked_hom(F, self.group, images, F.np_table(), table)
 
-    def _projection(self, i: int) -> GroupMap:
+    def _projection(self, i: int, table: np.ndarray) -> GroupMap:
         images = [self.decode(x)[i] for x in self.group.elements()]
-        return GroupMap.hom(self.group, self.factors[i], images)
+        F = self.factors[i]
+        return _checked_hom(self.group, F, images, table, F.np_table())
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup,
@@ -799,7 +911,7 @@ class SemidirectProduct:
         # hpart[h1, l1, h2] = h1 * act(l1)(h2); cell ((h1, l1), (h2, l2))
         hpart = H.np_table()[:, np.array([a.images for a in auts])]
         table = hpart[:, :, :, None] * L.order + L.np_table()[None, :, None, :]
-        self.group = from_cayley_table(table.reshape(total, total).tolist(), name=name)
+        self.group = from_cayley_table(table.reshape(total, total), name=name)
 
 
 def semidirect_product(H: FiniteGroup, L: FiniteGroup,
@@ -842,7 +954,7 @@ class WreathProduct:
         shifted = np.ravel_multi_index(np.moveaxis(funs[:, LT], -1, 0), radix)
         base_table = _product_table([H.np_table()] * L.order)
         table = LT[:, None, :, None] * base + base_table[shifted][None]
-        self.group = from_cayley_table(table.reshape(total, total).tolist(), name=name)
+        self.group = from_cayley_table(table.reshape(total, total), name=name)
 
 
 def wreath_product(H: FiniteGroup, L: FiniteGroup,
@@ -856,15 +968,25 @@ def wreath_product(H: FiniteGroup, L: FiniteGroup,
 
 def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """A short generating sequence found by a greedy sweep in id order."""
+    return tuple(_greedy_generators(G.table, G.identity))
+
+
+def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> Iterator[int]:
+    """Yield, in id order, each element not reached from the identity by
+    right multiplication by the ones yielded before, until all are reached.
+
+    Reads only the table, so it also serves a table not yet known to be
+    associative (`_check_light`); the closure is taken after each yield.
+    """
     gens: list[int] = []
-    have = frozenset({G.identity})
-    for g in G.elements():
+    have = {identity}
+    for g in range(len(table)):
         if g not in have:
             gens.append(g)
-            have = _closure(G, tuple(gens))
-            if len(have) == G.order:
-                break
-    return tuple(gens)
+            yield g
+            have = _closure(table, identity, gens)
+            if len(have) == len(table):
+                return
 
 
 def _extend_partial_hom(G: FiniteGroup, H: FiniteGroup,

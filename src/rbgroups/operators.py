@@ -193,7 +193,9 @@ def conjugate(op: RBOperator, phi: GroupMap) -> RBOperator:
         raise InvalidInput("automorphism acts on a different group")
     if not (phi.homomorphism and phi.bijective):
         raise InvalidInput("conjugation needs a verified automorphism")
-    inv_phi = phi.inverse().images
+    inv_phi = [0] * G.order
+    for g, x in enumerate(phi.images):
+        inv_phi[x] = g
     images = [inv_phi[op.images[phi.images[g]]] for g in G.elements()]
     return RBOperator(G, images, op.weight, verified=True)
 

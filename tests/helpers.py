@@ -93,3 +93,59 @@ def reference_orbits(G, census_images, auts):
         seen |= orbit
         out.append((min(census_images[j] for j in orbit), tuple(sorted(orbit))))
     return sorted(out)
+
+
+def reference_group_axioms(table):
+    """The first group axiom a raw table fails, as (exception class,
+    message), or (identity, inverses) when it passes them all.
+
+    Plain loops over the definitions, in the library's order: each row's
+    length and then its entries' range, row by row; every row, then every
+    column, a permutation of 0..n-1; a two-sided identity; (a*b)*c =
+    a*(b*c) for every triple in lexicographic order, O(n^3); two-sided
+    inverses.
+    """
+    from rbgroups.errors import NoIdentity, NotAssociative, NotLatinSquare
+
+    n = len(table)
+    if n == 0:
+        return NotLatinSquare, "empty table"
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return NotLatinSquare, f"row {i} has length {len(row)}, expected {n}"
+        for x in row:
+            if not 0 <= x < n:
+                return NotLatinSquare, f"row {i} contains out-of-range entry {x}"
+    everything = set(range(n))
+    for i in range(n):
+        if set(table[i]) != everything:
+            return NotLatinSquare, f"row {i} is not a permutation of 0..{n - 1}"
+    for j in range(n):
+        if {table[i][j] for i in range(n)} != everything:
+            return NotLatinSquare, f"column {j} is not a permutation of 0..{n - 1}"
+    identities = [e for e in range(n)
+                  if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+    if not identities:
+        return NoIdentity, "no two-sided identity element"
+    e = identities[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return NotAssociative, f"({a}*{b})*{c} != {a}*({b}*{c})"
+    inverses = []
+    for g in range(n):
+        x = [h for h in range(n) if table[g][h] == e][0]
+        if table[x][g] != e:
+            return NotAssociative, f"one-sided inverse at element {g}"
+        inverses.append(x)
+    return e, tuple(inverses)
+
+
+def reference_hom_defect(G, H, images):
+    """The first pair (a, b) in row-major order with f(ab) != f(a)f(b), or None."""
+    for a in G.elements():
+        for b in G.elements():
+            if images[G.table[a][b]] != H.table[images[a]][images[b]]:
+                return (a, b)
+    return None

@@ -1,7 +1,13 @@
-import pytest
+import math
 
-from helpers import naive_is_subgroup
-from rbgroups.corpus import corpus_group
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from helpers import naive_is_subgroup, reference_group_axioms, reference_hom_defect
+from rbgroups import corpus, groups
+from rbgroups.corpus import CORPUS_NAMES, corpus_group
 from rbgroups.errors import (
     ActionNotHomomorphism,
     InvalidInput,
@@ -21,6 +27,7 @@ from rbgroups.groups import (
     center,
     commutator_subgroup,
     derived_subgroup,
+    direct_power,
     direct_product,
     exact_factorizations,
     fixed_point_free,
@@ -57,6 +64,186 @@ def test_table_validation_errors():
         from_cayley_table(LOOP5)
     with pytest.raises(NotLatinSquare):
         from_cayley_table([[0, 1], [1, 2]])
+    # x*y = y - x in Z3: 0 is a left identity only
+    with pytest.raises(NoIdentity):
+        from_cayley_table([[(j - i) % 3 for j in range(3)] for i in range(3)])
+    # LOOP5 x Z2 numbered (l, h) -> 2l + h: the first generator, 1, passes
+    # Light's test and the second, 2, fails it
+    loop_z2 = [[LOOP5[a // 2][b // 2] * 2 + (a + b) % 2 for b in range(10)]
+               for a in range(10)]
+    with pytest.raises(NotAssociative, match=r"^\(2\*2\)\*4 != 2\*\(2\*4\)$"):
+        from_cayley_table(loop_z2)
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _relabel(table, sigma):
+    """The table with every element x renamed sigma[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    return out
+
+
+def _column_cycles(t, r1, r2):
+    """Rows r1 and r2 hold the same entries on each cycle of columns
+    k -> (column of t[r2][k] in row r1), so swapping the two rows on one
+    cycle keeps every row and column a permutation."""
+    col_in_r1 = {v: k for k, v in enumerate(t[r1])}
+    cycles, seen = [], set()
+    for k in range(len(t)):
+        cycle = []
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = col_in_r1[t[r2][k]]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+@st.composite
+def _loops(draw, max_order=40):
+    """Latin squares with an identity, mostly not associative: the table
+    of Z_n after cycle switches that spare the identity's row and column,
+    relabelled at random.  For prime n no such switch exists, and the
+    result is Z_n relabelled."""
+    n = draw(st.integers(1, max_order))
+    t = _cyclic_table(n)
+    for _ in range(draw(st.integers(1, 4)) if n >= 4 else 0):
+        r1 = draw(st.integers(1, n - 1))
+        switches = [(r2, cycle) for r2 in range(1, n) if r2 != r1
+                    for cycle in _column_cycles(t, r1, r2) if 0 not in cycle]
+        if switches:
+            r2, cycle = draw(st.sampled_from(switches))
+            for k in cycle:
+                t[r1][k], t[r2][k] = t[r2][k], t[r1][k]
+    return _relabel(t, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _corpus_tables(draw):
+    """A corpus group's table, relabelled, then left alone, changed in one
+    or two cells, or with its rows or its columns permuted."""
+    G = corpus_group(draw(st.sampled_from(CORPUS_NAMES)))
+    n = G.order
+    t = _relabel(G.table, draw(st.permutations(range(n))))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "one cell", "two cells", "swap in a row",
+                                   "rows permuted", "columns permuted"]))
+    if change == "swap in a row":
+        (i, j), k = draw(cell), draw(st.integers(0, n - 1))
+        t[i][j], t[i][k] = t[i][k], t[i][j]
+    elif change.endswith("permuted"):
+        # still a Latin square, with a left (right) identity but seldom a
+        # two-sided one
+        pi = draw(st.permutations(range(n)))
+        if change == "rows permuted":
+            t = [t[pi[a]] for a in range(n)]
+        else:
+            t = [[row[pi[b]] for b in range(n)] for row in t]
+    else:
+        for _ in range(("none", "one cell", "two cells").index(change)):
+            i, j = draw(cell)
+            t[i][j] = draw(st.integers(0, n - 1))
+    return t
+
+
+@st.composite
+def _malformed(draw):
+    """A cyclic table with rows cut short or made long, or with entries
+    out of range, in one to three places."""
+    n = draw(st.integers(1, 40))
+    t = _cyclic_table(n)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, n - 1))
+        damage = draw(st.sampled_from(["short", "long", "negative", "too large"]))
+        if damage == "short":
+            t[i] = t[i][:draw(st.integers(0, n - 1))]
+        elif damage == "long":
+            t[i] = t[i] + [draw(st.integers(0, n - 1))]
+        elif t[i]:
+            low, high = (-5, -1) if damage == "negative" else (n, n + 5)
+            t[i][draw(st.integers(0, len(t[i]) - 1))] = draw(st.integers(low, high))
+    return t
+
+
+@st.composite
+def _loop_products(draw):
+    """A loop L with its identity moved to 0, times a small corpus group
+    H, numbered (l, h) -> l |H| + h: the first generators lie in 0 x H,
+    where Light's condition holds, and a later one may fail it."""
+    t = draw(_loops(max_order=10))
+    n, e = len(t), [row[0] for row in t].index(0)
+    swap = list(range(n))
+    swap[0], swap[e] = e, 0
+    t = _relabel(t, swap)
+    H = corpus_group(draw(st.sampled_from(["Z2", "Z3", "S3", "Z2xZ2"])))
+    m = H.order
+    return [[t[a // m][b // m] * m + H.table[a % m][b % m] for b in range(n * m)]
+            for a in range(n * m)]
+
+
+def _decide(table):
+    try:
+        G = from_cayley_table(table)
+    except (NotLatinSquare, NoIdentity, NotAssociative) as exc:
+        return type(exc), str(exc)
+    assert [list(row) for row in G.table] == [list(row) for row in table]
+    return G.identity, G.inverses
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.one_of(_loops(), _loop_products(), _corpus_tables(), _malformed(),
+                      st.just([])))
+def test_validator_agrees_with_reference(table):
+    # the same verdict, exception class and message as the plain-loop
+    # reference, for the table as lists and as an integer array
+    want = reference_group_axioms(table)
+    event(want[0].__name__ if isinstance(want[0], type) else "group")
+    assert _decide(table) == want
+    if table and len({len(row) for row in table}) == 1:
+        assert _decide(np.array(table)) == want
+
+
+def test_validator_work(monkeypatch):
+    """Light's test settles every group the library builds without the
+    full associativity scan, checking at most ceil(log2 n) generators."""
+    scans, checked = [], []
+    scan, greedy = groups._check_associative, groups._greedy_generators
+
+    def counted_scan(t):
+        scans.append(len(t))
+        scan(t)
+
+    def counted_greedy(table, identity):
+        gens = []
+        checked.append((len(table), gens))
+        for s in greedy(table, identity):
+            gens.append(s)
+            yield s
+
+    monkeypatch.setattr(groups, "_check_associative", counted_scan)
+    monkeypatch.setattr(groups, "_greedy_generators", counted_greedy)
+    z2, z4, s3 = corpus_group("Z2"), corpus_group("Z4"), corpus_group("S3")
+    built = [corpus._build(name.lower()) for name in CORPUS_NAMES]
+    built += [
+        direct_power(s3, 3).group,
+        wreath_product(z2, s3).group,
+        semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]]).group,
+    ]
+    assert scans == []
+    assert {n for n, _ in checked} >= {G.order for G in built}
+    for n, gens in checked:
+        assert len(gens) <= math.ceil(math.log2(n))
+    # a rejected table runs the scan once, to name the failing triple
+    with pytest.raises(NotAssociative, match=r"^\(1\*1\)\*2 != 1\*\(1\*2\)$"):
+        from_cayley_table(LOOP5)
+    assert scans == [5]
 
 
 def test_s3_generation_convention(s3):
@@ -176,6 +363,50 @@ def test_group_map_validation(s3):
     assert phi.compose(phi.inverse()).images == tuple(s3.elements())
     assert fixed_point_free(GroupMap.automorphism(
         corpus_group("Z3"), [0, 2, 1]))
+
+
+_SMALL = [name for name in CORPUS_NAMES if corpus_group(name).order <= 12]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hom_defect_agrees_with_reference(data):
+    # random maps between corpus groups of any two orders, homomorphisms
+    # between small ones, and homomorphisms with one image changed
+    G = corpus_group(data.draw(st.sampled_from(CORPUS_NAMES)))
+    H = corpus_group(data.draw(st.sampled_from(CORPUS_NAMES)))
+    shape = data.draw(st.sampled_from(["random", "hom", "changed hom"]))
+    if shape == "random":
+        images = data.draw(st.lists(st.integers(0, H.order - 1),
+                                    min_size=G.order, max_size=G.order))
+        if data.draw(st.booleans()):
+            images[G.identity] = H.identity
+    else:
+        G = corpus_group(data.draw(st.sampled_from(_SMALL)))
+        H = corpus_group(data.draw(st.sampled_from(_SMALL)))
+        images = list(data.draw(st.sampled_from(all_homomorphisms(G, H))).images)
+        if shape == "changed hom":
+            images[data.draw(st.integers(0, G.order - 1))] = data.draw(
+                st.integers(0, H.order - 1))
+    want = reference_hom_defect(G, H, images)
+    event(f"{shape}, {'hom' if want is None else 'not a hom'}")
+    assert GroupMap.plain(G, H, images).hom_defect() == want
+
+
+def test_canonical_maps_hom_defect(s3, z4):
+    # the injections and projections of the product in
+    # test_product_numbering, as built and with one image changed
+    prod = DirectProduct((corpus_group("Z2"), s3, z4))
+    for m in prod.injections + prod.projections:
+        assert m.homomorphism
+        assert m.hom_defect() is None
+        assert reference_hom_defect(m.domain, m.codomain, m.images) is None
+        for g in (1, m.domain.order - 1):
+            images = list(m.images)
+            images[g] = (images[g] + 1) % m.codomain.order
+            want = reference_hom_defect(m.domain, m.codomain, images)
+            assert want is not None
+            assert GroupMap.plain(m.domain, m.codomain, images).hom_defect() == want
 
 
 def test_exact_factorizations(s3, z6):
