@@ -222,7 +222,7 @@ def cmd_derived(args) -> int:
         "structure": structure_to_json(rep),
     }
     if args.word is not None:
-        out["word_value"] = eval_word(op, circle_word(_parse_word(args.word)), dg=dg)
+        out["word_value"] = eval_word(op, circle_word(_parse_word(args.word)))
     if args.table:
         out["circle_table"] = [list(row) for row in dg.circle_table]
     return _emit(out)

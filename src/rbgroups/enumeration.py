@@ -40,7 +40,6 @@ import numpy as np
 from .errors import InvalidInput, OrderCapExceeded, StructureViolation
 from .groups import (
     FiniteGroup,
-    GroupMap,
     Subgroup,
     all_subgroups,
     automorphisms,
@@ -52,8 +51,8 @@ from .groups import (
 )
 from .operators import (
     RBOperator,
+    _require_valid,
     elementary,
-    image,
     is_splitting,
     kernel,
     tilde,
@@ -161,8 +160,7 @@ def brute_force_enumerate(G: FiniteGroup, cap: int = DEFAULT_BRUTE_CAP,
 
 def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
     """The subgroup of G x G encoding a valid operator: {(gB(g), B(g))}."""
-    if not verify(op):
-        raise InvalidInput(f"operator is not valid: witness {op.verified}")
+    _require_valid(op)
     G = op.group
     return frozenset(
         (G.table[g][op.images[g]], op.images[g]) for g in G.elements()
@@ -353,26 +351,15 @@ class SplittingReport:
 def splitting_report(census: Census) -> SplittingReport:
     """Match each splitting operator to its (kernel, image) factorization.
 
-    Each pair is checked against the full exact-factorization list of the
-    group; a miss is a bug, since a splitting operator's kernel and image
-    always factor the group exactly.
+    A splitting operator's kernel and image factor the group exactly (a
+    theorem, not checked here), so no subgroup sweep is needed.
     """
-    G = census.group
-    pairs = {
-        (H.elements, L.elements) for H, L in exact_factorizations(G)
-    }
     out = {}
     rest = []
     for i, op in enumerate(census.operators):
         sp = is_splitting(op)
         if sp:
-            key = (sp.kernel.elements, sp.image.elements)
-            if key not in pairs:
-                raise StructureViolation(
-                    f"splitting factorization {key} missing from the "
-                    "exact-factorization list"
-                )
-            out[i] = key
+            out[i] = (sp.kernel.elements, sp.image.elements)
         else:
             rest.append(i)
     return SplittingReport(splitting=out, non_splitting=tuple(rest))

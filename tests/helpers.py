@@ -149,3 +149,54 @@ def reference_hom_defect(G, H, images):
             if images[G.table[a][b]] != H.table[images[a]][images[b]]:
                 return (a, b)
     return None
+
+
+def counting(calls, key, real):
+    """Wrap real so that each call adds one to calls[key]."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def reference_twisted_table(G, images):
+    """The twisted product g . h = g B(g) h B(g)^-1, entry by entry."""
+    t, inv = G.table, G.inverses
+    B = list(images)
+    return [[t[t[t[g][B[g]]][h]][inv[B[g]]] for h in G.elements()]
+            for g in G.elements()]
+
+
+def reference_splitting_facts(G, images):
+    """For a splitting operator: whether ker(B) and Im(B) factor G exactly
+    (orders multiply to |G|, intersection trivial, every g a product k l)
+    and B inverts every element of Im(B)."""
+    B = list(images)
+    e = G.identity
+    ker = {g for g in G.elements() if B[g] == e}
+    im = set(B)
+    products = {G.table[k][l] for k in ker for l in im}
+    exact = (len(ker) * len(im) == G.order and ker & im == {e}
+             and products == set(G.elements()))
+    return exact and all(B[x] == G.inverses[x] for x in im)
+
+
+def reference_closure_words(G, gens, images, word_pair):
+    """Each pair reachable from the generator pairs, mapped to the first
+    word reaching it in a breadth-first walk over words in the letters
+    (i, 1) and (i, -1); word_pair evaluates a word to its pair."""
+    letters = [(i, k) for i in range(len(gens)) for k in (1, -1)]
+    root = ()
+    found = {word_pair(G, gens, images, root): root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for step in letters:
+                w2 = w + (step,)
+                p = word_pair(G, gens, images, w2)
+                if p not in found:
+                    found[p] = w2
+                    nxt.append(w2)
+        frontier = nxt
+    return found

@@ -163,7 +163,7 @@ def test_c04_structure_and_words(rng):
                 for _ in range(rng.randrange(1, 7))
             ]
             w = circle_word(letters)
-            got = eval_word(op, w, dg=dg)
+            got = eval_word(op, w)
             folded = G.identity
             for a, k in letters:
                 base = a

@@ -2,12 +2,14 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from helpers import counting
 from rbgroups import extension
 from rbgroups.cli import main
 from rbgroups.corpus import corpus_group, corpus_names
@@ -146,6 +148,20 @@ def test_derived_structure_and_word(capsys):
     assert j["word_value"] == 2
 
 
+def test_derived_word_with_huge_exponent(capsys):
+    # a circle power takes log k products, so k = 10**18 answers at
+    # once, and as a power in a group of order 6 it equals k mod 6
+    k = 10**18
+    argv = ("derived", "--corpus", "S3", "--images", "0,1,1,0,0,1", "--word")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, f"1:{k}")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert elapsed < 1.0
+    reduced = run_json(capsys, *argv, f"1:{k % 6}")
+    assert json.loads(out)["word_value"] == reduced["word_value"]
+
+
 def test_derived_table(capsys):
     j = run_json(capsys, "derived", "--corpus", "Z4",
                  "--images", "0,2,0,2", "--table")
@@ -222,21 +238,17 @@ def test_extend_answers_or_refuses(argv):
 
 
 def test_extend_builds_closure_once(monkeypatch, capsys):
-    # the decision and the reported closure group share one pair closure
-    calls = {"_closure_pairs": 0, "_pair_group": 0}
+    # the decision and the reported closure group share one pair closure,
+    # and its group table is built once
+    calls = {"_closure_pairs": 0, "from_cayley_table": 0}
     for fname in calls:
-        real = getattr(extension, fname)
-
-        def counting(*args, _real=real, _name=fname):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(extension, fname, counting)
+        monkeypatch.setattr(extension, fname,
+                            counting(calls, fname, getattr(extension, fname)))
     j = run_json(capsys, "extend", "--corpus", "S4",
                  "--gens", "1,2,3", "--images", "0,0,0")
     assert j["status"] == "extends" and j["via"] == "closure"
     assert j["gbar"]["order"] == 24 and len(j["gbar"]["table"]) == 24
-    assert calls == {"_closure_pairs": 1, "_pair_group": 1}
+    assert calls == {"_closure_pairs": 1, "from_cayley_table": 1}
 
 
 def test_lie_ring(capsys):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from helpers import counting
+from rbgroups import operators
 from rbgroups.constructions import (
     affine_map_check,
     cascade_rb,
@@ -38,12 +40,23 @@ from rbgroups.groups import (
     Subgroup,
     automorphisms,
     center,
+    direct_power,
     direct_product,
+    exact_factorizations,
     is_isomorphic,
+    opposite_group,
+    semidirect_product,
     subgroup_generated,
     wreath_product,
 )
-from rbgroups.operators import elementary, is_splitting, rb_operator, tilde, verify
+from rbgroups.operators import (
+    conjugate,
+    elementary,
+    is_splitting,
+    rb_operator,
+    tilde,
+    verify,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +68,15 @@ def test_splitting_from_factorization(s3):
     L = Subgroup(s3, [0, 1])
     op = splitting_from_factorization(s3, H, L)
     assert op.images == (0, 1, 1, 0, 0, 1)
+
+
+def test_splitting_keeps_its_factorization(s3, d4):
+    # the operator built from G = HL splits with kernel H and image L
+    for G in (s3, d4):
+        for H, L in exact_factorizations(G):
+            sp = is_splitting(splitting_from_factorization(G, H, L))
+            assert sp
+            assert (sp.kernel.elements, sp.image.elements) == (H.elements, L.elements)
 
 
 def test_splitting_rejects_bad_factorization(s3):
@@ -90,6 +112,16 @@ def test_triangular_splitting_heis3(heis3):
         op = triangular_splitting(heis3, H, L, M, C)
         assert op.images[:9] == expected_prefix[k]
         assert verify(op)
+        assert _twists_into_triangular_type(op, H, C, M)
+
+
+def _twists_into_triangular_type(op, H, C, M):
+    """Whether the twisted group of op is isomorphic to H x L_C x M^op."""
+    expected = direct_product(
+        direct_product(H.as_group().group, derived_group(C).group).group,
+        opposite_group(M.as_group().group),
+    ).group
+    return is_isomorphic(derived_group(op).group, expected) is not None
 
 
 def test_triangular_error_paths(d4):
@@ -108,10 +140,10 @@ def test_triangular_error_paths(d4):
 def test_triangular_on_d4(d4):
     packZ = Subgroup(d4, [0, 2]).as_group().group
     C = elementary(packZ, "b0")
-    op = triangular_splitting(
-        d4, Subgroup(d4, [0, 3]), Subgroup(d4, [0, 2]), Subgroup(d4, [0, 4]), C
-    )
+    H, L, M = Subgroup(d4, [0, 3]), Subgroup(d4, [0, 2]), Subgroup(d4, [0, 4])
+    op = triangular_splitting(d4, H, L, M, C)
     assert op.images == (0, 4, 0, 0, 4, 4, 4, 0)
+    assert _twists_into_triangular_type(op, H, C, M)
 
 
 def test_semidirect_rb_a4():
@@ -126,6 +158,29 @@ def test_semidirect_rb_a4():
     id_c = rb_operator(packL, list(packL.elements()))
     op = semidirect_rb(a4, H, L, id_c)
     assert op.images == (0, 1, 3, 3, 0, 0, 1, 1, 3, 1, 3, 0)
+    for C in (inv_c, id_c):
+        _assert_twists_into_semidirect(a4, H, L, C)
+
+
+def _assert_twists_into_semidirect(G, H, L, C):
+    # (h, l) -> h . l is an isomorphism from H x| L_C, with L_C acting by
+    # conjugation in the twisted product, onto the twisted group
+    dg = derived_group(semidirect_rb(G, H, L, C))
+    ct = dg.circle_table
+    packH, packL = H.as_group(), L.as_group()
+    dgc = derived_group(C)
+    action = []
+    for l_local in dgc.group.elements():
+        l = packL.to_parent[l_local]
+        li = dg.group.inverses[l]
+        action.append([packH.from_parent[ct[ct[l][packH.to_parent[x]]][li]]
+                       for x in packH.group.elements()])
+    sdp = semidirect_product(packH.group, dgc.group, action)
+    m = GroupMap.hom(sdp.group, dg.group, [
+        ct[packH.to_parent[h]][packL.to_parent[l]]
+        for h, l in (sdp.decode(x) for x in sdp.group.elements())
+    ])
+    assert m.bijective
 
 
 def test_semidirect_requires_normal_h(s3):
@@ -189,9 +244,8 @@ def test_central_conjugation(s3, d4, q8, heis3):
             op = central_conjugation(G, g)
             assert op is not None
             assert verify(op)
-            dg = derived_group(op)
-            for a in G.elements():
-                assert dg.circle_table[a][0] == a
+            # it twists G into the reversed product
+            assert derived_group(op).circle_table == opposite_group(G).table
 
 
 def test_affine_map_check(s3, z6):
@@ -228,9 +282,19 @@ def test_cascade_plain(s3):
     assert verify(op)
 
 
-def test_cascade_components(s3):
-    from rbgroups.groups import direct_power
+def test_cascade_verifies_once(s3, monkeypatch):
+    # only the requested variant is built and checked
+    prod = direct_power(s3, 2)
+    calls = {"defect": 0}
+    monkeypatch.setattr(operators, "_first_defect",
+                        counting(calls, "defect", operators._first_defect))
+    for variant in ("plain", "tilde"):
+        calls["defect"] = 0
+        cascade_rb(s3, 2, variant, prod=prod)
+        assert calls == {"defect": 1}
 
+
+def test_cascade_components(s3):
     prod = direct_power(s3, 3)
     op = cascade_rb(s3, 3, prod=prod)
     for g in prod.group.elements():
@@ -310,6 +374,29 @@ def test_power_product_twisted(s3):
     twisted = power_product_rb(s3, 2, [[-1, -1], [0, -1]], psis=[psi])
     assert verify(twisted)
     assert twisted.images != plain.images
+
+
+def test_power_product_twist_is_a_conjugate(s3):
+    # the psi-twisted operator is the plain one conjugated by the diagonal
+    # automorphism (x_1, ..., x_n) -> (chain_1(x_1), ..., chain_n(x_n)),
+    # chain_1 the identity and chain_{i+1} = chain_i . psi_i^-1
+    auts = automorphisms(s3)
+    n = 3
+    prod = direct_power(s3, n)
+    P = prod.group
+    for m in enumerate_rb_matrices(n)[::7]:
+        for psis in ([auts[1], auts[2]], [auts[3], auts[1]], [auts[5], auts[5]]):
+            chain = [list(range(s3.order))]
+            for psi in psis:
+                inv_psi = psi.inverse().images
+                chain.append([chain[-1][inv_psi[x]] for x in s3.elements()])
+            phi = GroupMap.automorphism(P, [
+                prod.encode([chain[i][x] for i, x in enumerate(prod.decode(g))])
+                for g in P.elements()
+            ])
+            plain = power_product_rb(s3, n, m, prod=prod)
+            twisted = power_product_rb(s3, n, m, psis=psis, prod=prod)
+            assert twisted.images == conjugate(plain, phi).images
 
 
 def test_nonsplitting_witness(z4):

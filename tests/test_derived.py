@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import counting, reference_twisted_table, reference_verify
+from rbgroups import operators
 from rbgroups.corpus import corpus_group
 from rbgroups.derived import (
     circle_word,
@@ -23,6 +25,32 @@ def test_circle_tables_are_groups(s3_census):
     for op in s3_census.operators:
         dg = derived_group(op)
         assert dg.group.order == 6
+
+
+def test_twisted_group_facts(s3_census):
+    # the table is the twisted product, with the identity of G; B is
+    # multiplicative from G_B to G and stays a valid operator on G_B
+    for census in (s3_census, graph_enumerate(corpus_group("D4"))):
+        G = census.group
+        t = G.table
+        for op in census.operators:
+            B = op.images
+            dg = derived_group(op)
+            ct = dg.circle_table
+            assert [list(row) for row in ct] == reference_twisted_table(G, B)
+            assert dg.group.identity == G.identity
+            assert all(B[ct[g][h]] == t[B[g]][B[h]]
+                       for g in G.elements() for h in G.elements())
+            assert reference_verify(dg.group, B) is None
+
+
+def test_derived_group_of_verified_operator_runs_no_check(s3_census, monkeypatch):
+    calls = {"defect": 0}
+    monkeypatch.setattr(operators, "_first_defect",
+                        counting(calls, "defect", operators._first_defect))
+    for op in s3_census.operators:
+        derived_group(op)
+    assert calls == {"defect": 0}
 
 
 def test_elementary_twists(s3):
@@ -59,10 +87,8 @@ def test_eval_word_matches_fold(s3_census, rng):
                 for _ in range(rng.randrange(1, 6))
             ]
             w = circle_word(letters)
-            got = eval_word(op, w, dg=dg)
+            got = eval_word(op, w)
             assert 0 <= got < G.order
-            # eval_word raises StructureViolation itself on a mismatch,
-            # so reaching here means formula == fold; spot-check anyway
             folded = G.identity
             for a, k in letters:
                 if k >= 0:

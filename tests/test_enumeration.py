@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import exhaustive_census, reference_orbits
+from helpers import counting, exhaustive_census, reference_orbits
 from rbgroups import enumeration, operators
 from rbgroups.corpus import corpus_group
 from rbgroups.enumeration import (
@@ -103,18 +103,12 @@ def test_classify_matches_reference_orbits(monkeypatch, name):
     images = census.image_tuples()
     expected = reference_orbits(G, images, [phi.images for phi in automorphisms(G)])
     calls = {"auts": 0, "tilde": 0, "defect": 0}
-    real_auts, real_tilde = enumeration.automorphisms, enumeration.tilde
-    real_defect = operators._first_defect
-
-    def counting(key, real):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(enumeration, "automorphisms", counting("auts", real_auts))
-    monkeypatch.setattr(enumeration, "tilde", counting("tilde", real_tilde))
-    monkeypatch.setattr(operators, "_first_defect", counting("defect", real_defect))
+    monkeypatch.setattr(enumeration, "automorphisms",
+                        counting(calls, "auts", enumeration.automorphisms))
+    monkeypatch.setattr(enumeration, "tilde",
+                        counting(calls, "tilde", enumeration.tilde))
+    monkeypatch.setattr(operators, "_first_defect",
+                        counting(calls, "defect", operators._first_defect))
     classes = classify(census).classes
     assert [(c.representative, c.members) for c in classes] == expected
     assert calls == {"auts": 1, "tilde": len(classes), "defect": 0}
@@ -141,6 +135,22 @@ def test_splitting_report(s3):
     for idx, (ker, im) in rep.splitting.items():
         op = census.operators[idx]
         assert set(ker) == {g for g in s3.elements() if op(g) == 0}
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_splitting_report_keys_are_exact_factorizations(monkeypatch, name):
+    # every (kernel, image) key factors the group exactly, and the report
+    # finds that out without a subgroup sweep
+    G = corpus_group(name)
+    census = graph_enumerate(G)
+    calls = {"factorizations": 0}
+    monkeypatch.setattr(enumeration, "exact_factorizations",
+                        counting(calls, "factorizations",
+                                 enumeration.exact_factorizations))
+    report = splitting_report(census)
+    assert calls == {"factorizations": 0}
+    pairs = {(H.elements, L.elements) for H, L in exact_factorizations(G)}
+    assert set(report.splitting.values()) <= pairs
 
 
 def test_simple_group_check_a5_shape():

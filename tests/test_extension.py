@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from rbgroups import extension
+from helpers import counting, reference_closure_words
+from rbgroups import derived, extension, groups
 from rbgroups.corpus import corpus_group
+from rbgroups.derived import derived_group
 from rbgroups.errors import CondFails, InvalidInput
 from rbgroups.extension import (
     closure_group,
@@ -113,11 +115,39 @@ def test_search_agrees_with_census():
             assert res.status == ("extends" if first else "no_extension")
             if first:
                 assert res.operator.images == first
+            if first and res.via == "closure":
+                _assert_twisted_is_closure(G, gens, images, res.operator)
             key = (res.via, res.status)
             decided[key] = decided.get(key, 0) + 1
     # partial closures both with and without an extension were searched
     assert decided[("search", "extends")] > 0
     assert decided[("search", "no_extension")] > 0
+
+
+def _assert_twisted_is_closure(G, gens, images, op):
+    # g -> (g B(g), B(g)) is an isomorphism from the twisted group onto
+    # the full-size pair closure
+    cg = closure_group(G, gens, images)
+    index = {p: i for i, p in enumerate(cg.pairs)}
+    enc = [index[(G.mul(g, op(g)), op(g))] for g in G.elements()]
+    assert GroupMap.hom(derived_group(op).group, cg.group, enc).bijective
+
+
+def test_extends_builds_no_group(monkeypatch):
+    # deciding "extends", by the top closure or by the search below it,
+    # builds no twisted group and no group table
+    calls = {"derived_group": 0, "table": 0}
+    monkeypatch.setattr(derived, "derived_group",
+                        counting(calls, "derived_group", derived.derived_group))
+    for module in (groups, derived, extension):
+        monkeypatch.setattr(module, "from_cayley_table",
+                            counting(calls, "table", groups.from_cayley_table))
+    s3, d4 = corpus_group("S3"), corpus_group("D4")
+    via = [extend_generators(G, gens, images).via
+           for G, gens, images in ((s3, [1, 2], [1, 2]), (s3, [1, 3], [1, 0]),
+                                   (d4, [1, 2], [2, 2]))]
+    assert via == ["closure", "closure", "search"]
+    assert calls == {"derived_group": 0, "table": 0}
 
 
 def test_search_beyond_old_census_order():
@@ -255,6 +285,22 @@ def test_closure_group_trivial_images(s3):
     assert iso.bijective
 
 
+@pytest.mark.parametrize("name, gens, images", [
+    ("S3", [1, 2], [1, 2]), ("S3", [1, 2], [1, 0]), ("S3", [1, 3], [0, 0]),
+    ("D4", [1, 2], [2, 2]), ("D4", [1, 2], [0, 3]), ("A4", [1, 4], [1, 0]),
+])
+def test_closure_pairs_agree_with_words(name, gens, images):
+    # every closure pair is reached by a word whose probe and image are
+    # the pair's probe and image
+    G = corpus_group(name)
+    cg = closure_group(G, gens, images)
+    words = reference_closure_words(G, gens, images, word_pair)
+    assert set(words) == set(cg.pairs)
+    for h, pair in enumerate(cg.pairs):
+        assert word_probe(G, gens, images, words[pair]) == cg.probe(h)
+        assert word_image(G, gens, images, words[pair]) == cg.image(h)
+
+
 def test_closure_group_cond_failure(s3):
     with pytest.raises(CondFails):
         closure_group(s3, [1, 2, 5], [1, 2, 4])
@@ -263,8 +309,6 @@ def test_closure_group_cond_failure(s3):
 def test_closure_group_matches_twisted_group(s3, s3_census):
     # a full-size closure is the graph of the decoded operator, so it
     # multiplies like the derived group
-    from rbgroups.derived import derived_group
-
     res = extend_generators(s3, [1, 2], [1, 2])
     cg = closure_group(s3, [1, 2], [1, 2])
     twisted = derived_group(res.operator).group
@@ -305,8 +349,6 @@ def test_census_restriction_round_trip(s3, s3_census):
     # operator; restrict each census operator to such a set (one that
     # also generates the plain group, which the problem format demands)
     # and check the extension machinery returns exactly that operator
-    from rbgroups.derived import derived_group
-
     for op in s3_census.operators:
         twisted = derived_group(op).group
         gens = None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_images, reference_verify
+from helpers import random_images, reference_splitting_facts, reference_verify
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
@@ -29,6 +29,11 @@ from rbgroups.operators import (
 @pytest.fixture(scope="module")
 def s3_census():
     return graph_enumerate(corpus_group("S3"))
+
+
+@pytest.fixture(scope="module")
+def d4_census():
+    return graph_enumerate(corpus_group("D4"))
 
 
 def test_constructor_validation(s3):
@@ -166,11 +171,14 @@ def test_inverse_argument_convert(s3_census):
         assert back.images == op.images and back.weight == 1
 
 
-def test_bplus_images(s3_census):
-    G = s3_census.group
-    for op in s3_census.operators:
-        m = bplus(op)
-        assert all(m(g) == G.mul(g, op(g)) for g in G.elements())
+def test_bplus_images(s3_census, d4_census):
+    # the companion map is g -> gB(g) and commutes with B
+    for census in (s3_census, d4_census):
+        G = census.group
+        for op in census.operators:
+            m = bplus(op)
+            assert all(m(g) == G.mul(g, op(g)) for g in G.elements())
+            assert all(m(op(g)) == op(m(g)) for g in G.elements())
 
 
 def test_kernel_image(s3):
@@ -190,14 +198,20 @@ def test_splitting_census_counts():
         assert (sum(flags), len(flags) - sum(flags)) == (split, non)
 
 
-def test_splitting_verdict_shape(s3_census):
-    G = s3_census.group
-    for op in s3_census.operators:
-        sp = is_splitting(op)
-        assert sp
-        assert sp.kernel.order * sp.image.order == G.order
-        for l in sp.image.elements:
-            assert op(l) == G.inv(l)
+def test_splitting_verdict_shape(s3_census, d4_census):
+    # a splitting operator's kernel and image factor G exactly, and B
+    # inverts its image
+    assert all(is_splitting(op) for op in s3_census.operators)
+    for census in (s3_census, d4_census):
+        G = census.group
+        for op in census.operators:
+            sp = is_splitting(op)
+            if not sp:
+                continue
+            assert reference_splitting_facts(G, op.images)
+            assert sp.kernel.elements == tuple(
+                g for g in G.elements() if op(g) == G.identity)
+            assert sp.image.elements == tuple(sorted(set(op.images)))
 
 
 def test_deep_values(s3, z4):
