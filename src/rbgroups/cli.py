@@ -3,8 +3,11 @@
 Exit codes: 0 for an answered question (JSON on stdout, including
 negative answers), 1 for a principled refusal (structured JSON with the
 error class and message), 2 for malformed input (message on stderr).
-The RBG_ORDER_CAP environment variable overrides the order cap on group
-files.
+The RBG_ORDER_CAP environment variable (default 2048) bounds the order
+of every group a command builds, read from a file, taken from the corpus
+or constructed; a larger one is refused with OrderCapExceeded (exit 1),
+and a value that is not a positive integer is malformed input (exit 2)
+once a group is built.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .constructions import (
     splitting_from_factorization,
 )
 from .corpus import corpus_group, corpus_names
-from .derived import circle_word, derived_group, eval_word, structure_report
+from .derived import circle_word, eval_word, structure_report
 from .enumeration import (
     Census,
     brute_force_enumerate,
@@ -214,17 +217,16 @@ def _parse_word(raw: str) -> list[tuple[int, int]]:
 def cmd_derived(args) -> int:
     G = _load_group(args)
     op = _load_operator(args, G)
-    dg = derived_group(op)
     rep = structure_report(op)
     out = {
         "group": G.name,
-        "order": dg.group.order,
+        "order": rep.derived.group.order,
         "structure": structure_to_json(rep),
     }
     if args.word is not None:
         out["word_value"] = eval_word(op, circle_word(_parse_word(args.word)))
     if args.table:
-        out["circle_table"] = [list(row) for row in dg.circle_table]
+        out["circle_table"] = [list(row) for row in rep.derived.circle_table]
     return _emit(out)
 
 

@@ -121,13 +121,15 @@ def eval_word(op: RBOperator, word: CircleWord) -> int:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """The kernel/image skeleton of an operator, with all facts verified."""
+    """The kernel/image skeleton of an operator, with all facts verified,
+    and the twisted group the report was checked in."""
 
     kernel_b: Subgroup
     kernel_bplus: Subgroup
     image_b: Subgroup
     image_bplus: Subgroup
     quotient_order: int
+    derived: DerivedGroup
 
 
 def _coset(G: FiniteGroup, x: int, sub: Subgroup) -> frozenset[int]:
@@ -213,4 +215,5 @@ def structure_report(op: RBOperator) -> StructureReport:
         image_b=im_b,
         image_bplus=im_bp,
         quotient_order=len(iso),
+        derived=dg,
     )

@@ -101,17 +101,18 @@ class Census:
         return [op.images for op in self.operators]
 
 
-def brute_force_enumerate(G: FiniteGroup, cap: int = DEFAULT_BRUTE_CAP,
-                          weight: int = 1) -> Census:
+def brute_force_enumerate(G: FiniteGroup, weight: int = 1) -> Census:
     """Filter all |G|^(|G|-1) maps fixing the identity through the identity.
 
     Fixing B(e) = e loses nothing: substituting g = h = e into either
     weight's identity forces the image of e to be idempotent, hence the
     identity.  Candidates are filtered pair by pair with numpy gathers.
+    Groups above order DEFAULT_BRUTE_CAP are refused, as the candidates
+    number |G|^(|G|-1).
     """
-    if G.order > cap:
+    if G.order > DEFAULT_BRUTE_CAP:
         raise OrderCapExceeded(
-            f"brute force capped at order {cap}, group has order {G.order}"
+            f"brute force capped at order {DEFAULT_BRUTE_CAP}, group has order {G.order}"
         )
     if weight not in (1, -1):
         raise InvalidInput(f"weight must be +1 or -1, got {weight}")
@@ -184,7 +185,7 @@ def _factor_data(S: Subgroup):
     return pack, entries
 
 
-def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
+def graph_enumerate(G: FiniteGroup) -> Census:
     """Enumerate operators as order-|G| subgroups of G x G avoiding the
     diagonal, walking subgroups of the square through their factor data.
 
@@ -198,8 +199,6 @@ def graph_enumerate(G: FiniteGroup, cap: int = 2048) -> Census:
     built once per call, before the walk, and shared by every visit as
     A or as C; nothing is kept between calls.
     """
-    if G.order > cap:
-        raise OrderCapExceeded(f"graph enumeration capped at order {cap}")
     n = G.order
     e = G.identity
     t, inv = G.table, G.inverses

@@ -20,7 +20,8 @@ class NotAssociative(RBGroupsError):
 
 
 class OrderCapExceeded(RBGroupsError):
-    """A construction or search would exceed the configured order cap."""
+    """A group to build is above `groups.order_cap()`, or a group given to
+    brute force is above `enumeration.DEFAULT_BRUTE_CAP`."""
 
 
 class ActionNotHomomorphism(RBGroupsError):

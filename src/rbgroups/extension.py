@@ -298,7 +298,9 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
 
 def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
     """closure_group's result from a diagonal-free pair closure: the
-    sorted pairs under the coordinatewise product of G x G."""
+    sorted pairs under the coordinatewise product of G x G.  The image
+    map is the second projection of that subgroup of G x G, so it is a
+    homomorphism by construction and is not checked."""
     t, inv = G.table, G.inverses
     ordered = sorted(pairs)
     index = {p: i for i, p in enumerate(ordered)}
@@ -307,11 +309,13 @@ def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
         for (x1, y1) in ordered
     ]
     H = from_cayley_table(table, name=f"pair-closure({G.name})")
+    ys = tuple(y for _, y in ordered)
     return ClosureGroup(
         group=H,
         pairs=tuple(ordered),
         probe=GroupMap.plain(H, G, [t[x][inv[y]] for x, y in ordered]),
-        image=GroupMap.hom(H, G, [y for _, y in ordered]),
+        image=GroupMap(H, G, ys, homomorphism=True,
+                       bijective=H.order == G.order == len(set(ys))),
     )
 
 

@@ -4,6 +4,10 @@ Every group in this library is a `FiniteGroup`: a fully validated Cayley
 table together with the located identity and the inverse of each element.
 All constructors validate completely (Latin property, identity,
 associativity), so downstream algorithms never re-check the axioms.
+They also refuse, with OrderCapExceeded and before allocating a table,
+any group above `order_cap()` (2048, or the RBG_ORDER_CAP environment
+variable); no other function checks the order, since every group it is
+given has passed the limit.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
 fixed order: ragged rows and out-of-range entries, every row a
@@ -29,6 +33,7 @@ above the same order.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -43,12 +48,14 @@ from .errors import (
     NotLatinSquare,
     NotNormal,
     OrderCapExceeded,
+    SchemaViolation,
 )
 
 DEFAULT_ORDER_CAP = 2048
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
+    "order_cap",
     "FiniteGroup",
     "GroupMap",
     "Subgroup",
@@ -79,6 +86,37 @@ __all__ = [
     "fixed_point_free",
     "exact_factorizations",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the order limit
+
+
+def order_cap() -> int:
+    """The largest group order the library builds: DEFAULT_ORDER_CAP, or
+    the RBG_ORDER_CAP environment variable when it is set."""
+    raw = os.environ.get("RBG_ORDER_CAP")
+    if raw is None:
+        return DEFAULT_ORDER_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise SchemaViolation("RBG_ORDER_CAP", f"not an integer: {raw!r}")
+    if cap < 1:
+        raise SchemaViolation("RBG_ORDER_CAP", "cap must be positive")
+    return cap
+
+
+def _require_order(n: int, what: str) -> None:
+    """Refuse a group of order n above `order_cap()`, naming it as `what`.
+
+    Every group is built by `from_cayley_table`, `from_permutations` or a
+    product constructor, and each calls this before it allocates anything
+    of size n, so a group that exists has passed the limit.
+    """
+    cap = order_cap()
+    if n > cap:
+        raise OrderCapExceeded(f"{what} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +384,7 @@ def from_cayley_table(
     """Build a group from a full multiplication table, validating the axioms.
 
     The table is a sequence of rows, or an n x n integer ndarray."""
+    _require_order(len(table), f"order {len(table)}")
     rows, identity, inverses = _validate_table(table)
     return FiniteGroup(rows, identity, inverses, name=name, labels=labels)
 
@@ -368,11 +407,7 @@ def _perm_cycles(p: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def from_permutations(
-    gens: Sequence[Sequence[int]],
-    name: str = "",
-    cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteGroup:
+def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """Close a set of permutations under composition and build the group.
 
     Permutations are tuples p with p[i] = image of i; composition applies
@@ -400,10 +435,7 @@ def from_permutations(
             for g in gtuples:
                 q = tuple(p[g[i]] for i in range(k))
                 if q not in index:
-                    if len(elems) >= cap:
-                        raise OrderCapExceeded(
-                            f"permutation closure exceeds cap {cap}"
-                        )
+                    _require_order(len(elems) + 1, "permutation closure")
                     index[q] = len(elems)
                     elems.append(q)
                     nxt.append(q)
@@ -658,7 +690,7 @@ def _closure(table: Sequence[Sequence[int]], identity: int,
     return frozenset(known)
 
 
-def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, element tuple).
 
     Starts from the cyclic subgroups and repeatedly joins known subgroups
@@ -667,8 +699,6 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
     particular perfect subgroups are found, which a cyclic-extension-only
     sweep would miss.
     """
-    if G.order > cap:
-        raise OrderCapExceeded(f"subgroup sweep capped at order {cap}")
     seen: dict[frozenset[int], tuple[int, ...]] = {}
     queue: list[tuple[frozenset[int], tuple[int, ...]]] = []
 
@@ -821,14 +851,12 @@ def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
 class DirectProduct:
     """A direct product with componentwise coding and the canonical maps."""
 
-    def __init__(self, factors: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP,
-                 name: str = ""):
+    def __init__(self, factors: Sequence[FiniteGroup], name: str = ""):
         orders = [F.order for F in factors]
         total = 1
         for o in orders:
             total *= o
-            if total > cap:
-                raise OrderCapExceeded(f"product order exceeds cap {cap}")
+            _require_order(total, "product order")
         self.factors = tuple(factors)
         self.encode, self.decode = _mixed_radix_maps(orders)
         table = _product_table([F.np_table() for F in factors])
@@ -855,16 +883,15 @@ class DirectProduct:
         return _checked_hom(self.group, F, images, table, F.np_table())
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup,
-                   cap: int = DEFAULT_ORDER_CAP) -> DirectProduct:
-    return DirectProduct((G, H), cap=cap)
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProduct:
+    return DirectProduct((G, H))
 
 
-def direct_power(G: FiniteGroup, n: int, cap: int = DEFAULT_ORDER_CAP) -> DirectProduct:
+def direct_power(G: FiniteGroup, n: int) -> DirectProduct:
     if n < 1:
         raise InvalidInput("direct power needs n >= 1")
     name = f"{G.name}^{n}" if G.name else ""
-    return DirectProduct((G,) * n, cap=cap, name=name)
+    return DirectProduct((G,) * n, name=name)
 
 
 class SemidirectProduct:
@@ -875,8 +902,9 @@ class SemidirectProduct:
     """
 
     def __init__(self, H: FiniteGroup, L: FiniteGroup,
-                 action: Sequence[Sequence[int]], cap: int = DEFAULT_ORDER_CAP,
-                 name: str = ""):
+                 action: Sequence[Sequence[int]], name: str = ""):
+        total = H.order * L.order
+        _require_order(total, "product order")
         if len(action) != L.order:
             raise ActionNotHomomorphism("need one automorphism per acting element")
         auts = []
@@ -895,9 +923,6 @@ class SemidirectProduct:
                     raise ActionNotHomomorphism(
                         f"action is not multiplicative at ({l1}, {l2})"
                     )
-        total = H.order * L.order
-        if total > cap:
-            raise OrderCapExceeded(f"product order exceeds cap {cap}")
         self.H, self.L = H, L
         self.action = tuple(auts)
 
@@ -916,9 +941,8 @@ class SemidirectProduct:
 
 def semidirect_product(H: FiniteGroup, L: FiniteGroup,
                        action: Sequence[Sequence[int]],
-                       cap: int = DEFAULT_ORDER_CAP,
                        name: str = "") -> SemidirectProduct:
-    return SemidirectProduct(H, L, action, cap=cap, name=name)
+    return SemidirectProduct(H, L, action, name=name)
 
 
 class WreathProduct:
@@ -928,12 +952,10 @@ class WreathProduct:
     base group of functions is normal and L permutes it by left shifts.
     """
 
-    def __init__(self, H: FiniteGroup, L: FiniteGroup,
-                 cap: int = DEFAULT_ORDER_CAP, name: str = ""):
+    def __init__(self, H: FiniteGroup, L: FiniteGroup, name: str = ""):
         base = H.order ** L.order
         total = base * L.order
-        if total > cap:
-            raise OrderCapExceeded(f"wreath product order {total} exceeds cap {cap}")
+        _require_order(total, f"wreath product order {total}")
         self.H, self.L = H, L
         self.base_size = base
         fun_encode, fun_decode = _mixed_radix_maps([H.order] * L.order)
@@ -957,9 +979,8 @@ class WreathProduct:
         self.group = from_cayley_table(table.reshape(total, total), name=name)
 
 
-def wreath_product(H: FiniteGroup, L: FiniteGroup,
-                   cap: int = DEFAULT_ORDER_CAP, name: str = "") -> WreathProduct:
-    return WreathProduct(H, L, cap=cap, name=name)
+def wreath_product(H: FiniteGroup, L: FiniteGroup, name: str = "") -> WreathProduct:
+    return WreathProduct(H, L, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,24 +1039,24 @@ def _extend_partial_hom(G: FiniteGroup, H: FiniteGroup,
 
 
 def _hom_candidates(G: FiniteGroup, H: FiniteGroup, g: int,
-                    same_order: bool) -> list[int]:
+                    bijective: bool) -> list[int]:
     og = G.element_order(g)
     out = []
     for u in H.elements():
         ou = H.element_order(u)
-        if (ou == og) if same_order else (og % ou == 0):
+        if (ou == og) if bijective else (og % ou == 0):
             out.append(u)
     return out
 
 
-def _hom_search(G: FiniteGroup, H: FiniteGroup, same_order: bool,
-                only_bijective: bool, first_only: bool) -> list[GroupMap]:
+def _hom_search(G: FiniteGroup, H: FiniteGroup, bijective: bool,
+                first_only: bool) -> list[GroupMap]:
     gens = generating_sequence(G)
     if not gens:
         m = GroupMap(G, H, (H.identity,) * G.order,
                      homomorphism=True, bijective=G.order == H.order)
         return [m]
-    cand = [_hom_candidates(G, H, g, same_order) for g in gens]
+    cand = [_hom_candidates(G, H, g, bijective) for g in gens]
     found: list[GroupMap] = []
 
     def rec(k: int, chosen: list[int]) -> bool:
@@ -1045,7 +1066,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, same_order: bool,
                 return False
             images = tuple(fmap[g] for g in G.elements())
             bij = G.order == H.order and len(set(images)) == H.order
-            if only_bijective and not bij:
+            if bijective and not bij:
                 return False
             found.append(GroupMap(G, H, images, homomorphism=True, bijective=bij))
             return first_only
@@ -1061,25 +1082,23 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, same_order: bool,
     return found
 
 
-def automorphisms(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[GroupMap]:
+def automorphisms(G: FiniteGroup) -> list[GroupMap]:
     """All automorphisms of G, sorted by image tuple."""
-    if G.order > cap:
-        raise OrderCapExceeded(f"automorphism search capped at order {cap}")
-    return _hom_search(G, G, same_order=True, only_bijective=True, first_only=False)
+    return _hom_search(G, G, bijective=True, first_only=False)
 
 
 def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[GroupMap]:
     """All isomorphisms G -> H (empty when none exists)."""
     if G.order != H.order or _iso_invariants(G) != _iso_invariants(H):
         return []
-    return _hom_search(G, H, same_order=True, only_bijective=True, first_only=False)
+    return _hom_search(G, H, bijective=True, first_only=False)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """An isomorphism G -> H, or None.  Screens cheap invariants first."""
     if G.order != H.order or _iso_invariants(G) != _iso_invariants(H):
         return None
-    maps = _hom_search(G, H, same_order=True, only_bijective=True, first_only=True)
+    maps = _hom_search(G, H, bijective=True, first_only=True)
     return maps[0] if maps else None
 
 
@@ -1096,7 +1115,7 @@ def _iso_invariants(G: FiniteGroup):
 
 def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupMap]:
     """Every homomorphism G -> H, sorted by image tuple."""
-    return _hom_search(G, H, same_order=False, only_bijective=False, first_only=False)
+    return _hom_search(G, H, bijective=False, first_only=False)
 
 
 # ---------------------------------------------------------------------------

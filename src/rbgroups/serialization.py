@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Optional
 
 from .derived import StructureReport
 from .enumeration import Census, ElementaryVerdict, SplittingReport
-from .errors import OrderCapExceeded, SchemaViolation
+from .errors import SchemaViolation
 from .extension import ExtensionResult
 from .groups import (
-    DEFAULT_ORDER_CAP,
     DirectProduct,
     FiniteGroup,
     from_cayley_table,
@@ -31,7 +29,6 @@ from .lie_ring import GradedLieRing, InducedRB, LieVerdict
 from .operators import RBOperator
 
 __all__ = [
-    "order_cap",
     "group_hash",
     "group_to_json",
     "parse_group",
@@ -45,20 +42,6 @@ __all__ = [
 ]
 
 GROUP_KINDS = ("table", "perm", "direct", "semidirect", "wreath")
-
-
-def order_cap() -> int:
-    """The global order cap, overridable through RBG_ORDER_CAP."""
-    raw = os.environ.get("RBG_ORDER_CAP")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaViolation("RBG_ORDER_CAP", f"not an integer: {raw!r}")
-    if cap < 1:
-        raise SchemaViolation("RBG_ORDER_CAP", "cap must be positive")
-    return cap
 
 
 def dumps(obj) -> str:
@@ -102,10 +85,11 @@ def _int_list(val, path: str) -> list[int]:
     return out
 
 
-def parse_group(obj, path: str = "", cap: Optional[int] = None) -> FiniteGroup:
+def parse_group(obj, path: str = "") -> FiniteGroup:
+    """Build the group a JSON document describes.  The constructors refuse
+    a group above the order limit before building its table."""
     if not isinstance(obj, dict):
         raise SchemaViolation(path, "group must be an object")
-    cap = order_cap() if cap is None else cap
     name = _expect(obj, "name", str, path)
     kind = _expect(obj, "kind", str, path)
     if kind not in GROUP_KINDS:
@@ -114,8 +98,6 @@ def parse_group(obj, path: str = "", cap: Optional[int] = None) -> FiniteGroup:
     if kind == "table":
         raw = _expect(obj, "table", list, path)
         table = [_int_list(row, f"{path}/table/{i}") for i, row in enumerate(raw)]
-        if len(table) > cap:
-            raise OrderCapExceeded(f"order {len(table)} exceeds cap {cap}")
         labels = None
         if "labels" in obj:
             labels = _expect(obj, "labels", list, path)
@@ -140,29 +122,24 @@ def parse_group(obj, path: str = "", cap: Optional[int] = None) -> FiniteGroup:
         if len({len(g) for g in gens}) != 1:
             raise SchemaViolation(f"{path}/perm_gens",
                                   "generators act on different sets")
-        return from_permutations(gens, name=name, cap=cap)
+        return from_permutations(gens, name=name)
 
     factors_raw = _expect(obj, "factors", list, path)
     if kind == "direct":
         if not factors_raw:
             raise SchemaViolation(f"{path}/factors", "need at least one factor")
         factors = [
-            parse_group(f, f"{path}/factors/{i}", cap)
+            parse_group(f, f"{path}/factors/{i}")
             for i, f in enumerate(factors_raw)
         ]
-        total = 1
-        for F in factors:
-            total *= F.order
-        if total > cap:
-            raise OrderCapExceeded(f"order {total} exceeds cap {cap}")
         prod = DirectProduct(tuple(factors))
         prod.group.name = name
         return prod.group
 
     if len(factors_raw) != 2:
         raise SchemaViolation(f"{path}/factors", "need exactly two factors")
-    H = parse_group(factors_raw[0], f"{path}/factors/0", cap)
-    L = parse_group(factors_raw[1], f"{path}/factors/1", cap)
+    H = parse_group(factors_raw[0], f"{path}/factors/0")
+    L = parse_group(factors_raw[1], f"{path}/factors/1")
 
     if kind == "semidirect":
         raw = _expect(obj, "action", list, path)
@@ -170,17 +147,10 @@ def parse_group(obj, path: str = "", cap: Optional[int] = None) -> FiniteGroup:
             raise SchemaViolation(f"{path}/action",
                                   "need one row per element of the second factor")
         action = [_int_list(row, f"{path}/action/{i}") for i, row in enumerate(raw)]
-        if H.order * L.order > cap:
-            raise OrderCapExceeded(
-                f"order {H.order * L.order} exceeds cap {cap}"
-            )
         sdp = semidirect_product(H, L, action)
         sdp.group.name = name
         return sdp.group
 
-    total = L.order * H.order ** L.order
-    if total > cap:
-        raise OrderCapExceeded(f"order {total} exceeds cap {cap}")
     w = wreath_product(H, L)
     w.group.name = name
     return w.group

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import counting
-from rbgroups import extension
+from rbgroups import derived, extension
 from rbgroups.cli import main
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.serialization import dumps, group_to_json
@@ -166,6 +166,37 @@ def test_derived_table(capsys):
     j = run_json(capsys, "derived", "--corpus", "Z4",
                  "--images", "0,2,0,2", "--table")
     assert len(j["circle_table"]) == 4
+
+
+def test_derived_builds_twisted_group_once(monkeypatch, capsys):
+    # the reported order and table are those of the twisted group the
+    # structure report was checked in
+    calls = {"derived_group": 0, "table": 0}
+    monkeypatch.setattr(derived, "derived_group",
+                        counting(calls, "derived_group", derived.derived_group))
+    monkeypatch.setattr(derived, "from_cayley_table",
+                        counting(calls, "table", derived.from_cayley_table))
+    j = run_json(capsys, "derived", "--corpus", "S3",
+                 "--images", "0,1,1,0,0,1", "--table")
+    assert j["order"] == 6 and len(j["circle_table"]) == 6
+    assert calls == {"derived_group": 1, "table": 1}
+
+
+def test_order_cap_bounds_constructed_groups(monkeypatch, capsys):
+    # RBG_ORDER_CAP bounds every group a command builds, not only files:
+    # S3^3 has order 216
+    monkeypatch.setenv("RBG_ORDER_CAP", "10")
+    code, out, err = run(capsys, "construct", "--corpus", "S3",
+                         "--family", "cascade", "--n", "3")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "OrderCapExceeded"
+
+
+def test_bad_order_cap_is_malformed_input(monkeypatch, capsys):
+    monkeypatch.setenv("RBG_ORDER_CAP", "abc")
+    code, out, err = run(capsys, "enumerate", "--corpus", "S3")
+    assert code == 2 and out == ""
+    assert "RBG_ORDER_CAP" in err and "Traceback" not in err
 
 
 def test_extend_census_refutation(capsys):

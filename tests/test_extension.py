@@ -264,7 +264,7 @@ def test_closure_group_partial_problem(s3):
     for h, (x, y) in enumerate(cg.pairs):
         assert cg.probe(h) == s3.mul(x, s3.inv(y))
         assert cg.image(h) == y
-    assert cg.image.homomorphism
+    assert cg.image.homomorphism and cg.image.hom_defect() is None
 
 
 def test_closure_group_inversion_is_opposite(s3):
@@ -299,6 +299,20 @@ def test_closure_pairs_agree_with_words(name, gens, images):
     for h, pair in enumerate(cg.pairs):
         assert word_probe(G, gens, images, words[pair]) == cg.probe(h)
         assert word_image(G, gens, images, words[pair]) == cg.image(h)
+    # the image map is the second projection, a homomorphism
+    assert cg.image.hom_defect() is None
+
+
+def test_closure_group_checks_no_homomorphism(monkeypatch):
+    # the image map is a homomorphism by construction; closure_group
+    # builds it without the pairwise check
+    calls = {"checked_hom": 0}
+    monkeypatch.setattr(groups, "_checked_hom",
+                        counting(calls, "checked_hom", groups._checked_hom))
+    for name, gens, images in (("S3", [1, 2], [1, 0]), ("S4", [1, 2, 3], [0, 0, 0])):
+        cg = closure_group(corpus_group(name), gens, images)
+        assert cg.image.homomorphism
+    assert calls == {"checked_hom": 0}
 
 
 def test_closure_group_cond_failure(s3):

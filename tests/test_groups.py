@@ -1,11 +1,20 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_is_subgroup, reference_group_axioms, reference_hom_defect
+from helpers import (
+    counting,
+    naive_is_subgroup,
+    reference_group_axioms,
+    reference_hom_defect,
+)
+import rbgroups
 from rbgroups import corpus, groups
 from rbgroups.corpus import CORPUS_NAMES, corpus_group
 from rbgroups.errors import (
@@ -501,6 +510,44 @@ def test_generating_sequence(s3, q8):
         assert len(gens) <= 3
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    monkeypatch.setenv("RBG_ORDER_CAP", "50")
     with pytest.raises(OrderCapExceeded):
-        from_permutations([tuple(range(1, 70)) + (0,)], cap=50)
+        from_permutations([tuple(range(1, 70)) + (0,)])
+
+
+def test_order_cap_refuses_products_before_building(monkeypatch):
+    # every product constructor refuses an order above the limit before
+    # any table is built; the semidirect product before checking its action
+    calls = {"automorphism": 0, "table": 0}
+    monkeypatch.setattr(GroupMap, "automorphism", staticmethod(
+        counting(calls, "automorphism", GroupMap.automorphism)))
+    z4, z2 = corpus_group("Z4"), corpus_group("Z2")
+    monkeypatch.setattr(groups, "from_cayley_table",
+                        counting(calls, "table", groups.from_cayley_table))
+    monkeypatch.setenv("RBG_ORDER_CAP", "7")
+    with pytest.raises(OrderCapExceeded):
+        semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    with pytest.raises(OrderCapExceeded):
+        direct_product(z4, z2)
+    with pytest.raises(OrderCapExceeded):
+        wreath_product(z2, z2)
+    assert calls == {"automorphism": 0, "table": 0}
+
+
+def test_no_cap_parameter():
+    # one order limit, read where a group is built: no public function,
+    # class or method of the package takes a cap of its own
+    for info in pkgutil.iter_modules(rbgroups.__path__):
+        module = importlib.import_module(f"rbgroups.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) \
+                    or not getattr(obj, "__module__", "").startswith("rbgroups") \
+                    or inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            found = {name: obj}
+            if inspect.isclass(obj):
+                found.update((f"{name}.{k}", getattr(obj, k)) for k in vars(obj)
+                             if not k.startswith("_") and inspect.isroutine(getattr(obj, k)))
+            for where, fn in found.items():
+                assert "cap" not in inspect.signature(fn).parameters, where

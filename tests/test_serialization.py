@@ -1,4 +1,6 @@
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -11,6 +13,7 @@ from rbgroups.extension import extend_generators
 from rbgroups.groups import (
     FiniteGroup,
     direct_product,
+    order_cap,
     semidirect_product,
     wreath_product,
 )
@@ -23,7 +26,6 @@ from rbgroups.serialization import (
     group_hash,
     group_to_json,
     operator_to_json,
-    order_cap,
     parse_group,
     parse_operator,
     ring_to_json,
@@ -193,8 +195,10 @@ def test_dumps_deterministic(s3):
 
 
 # Hostile group documents.  Tables and permutations stay small and every
-# parse runs under a cap of 64, so no example builds a large product;
-# anything past the cap must be refused like any other bad input.
+# parse runs under RBG_ORDER_CAP=64, so no example builds a large
+# product; anything past the cap must be refused like any other bad input.
+# The variable is set in the body: hypothesis refuses function-scoped
+# fixtures such as monkeypatch, which it would not reset between examples.
 PARSE_CAP = 64
 KINDS = ("table", "perm", "direct", "semidirect", "wreath")
 KEYS = ("name", "kind", "table", "labels", "perm_gens", "factors", "action")
@@ -289,7 +293,8 @@ def _mangled_docs(draw):
 @given(doc=st.one_of(_group_docs, _mangled_docs(), _json_values))
 def test_parse_group_returns_group_or_refuses(doc):
     try:
-        G = parse_group(doc, cap=PARSE_CAP)
+        with mock.patch.dict(os.environ, {"RBG_ORDER_CAP": str(PARSE_CAP)}):
+            G = parse_group(doc)
     except RBGroupsError as exc:
         event(type(exc).__name__)
         return
