@@ -25,9 +25,10 @@ census of operators, with no duplicates on either side.
 Subgroups of G x G are walked through their factor data (projections,
 the two slice kernels, and the identifying isomorphism between the
 quotients), so the product group is never materialized; this keeps A5
-tractable.  Within one call, each subgroup's normal subgroups, quotients
-and coset fibers are built once and shared by every visit to it; nothing
-outlives the call.
+tractable.  G's subgroups are swept once per call: those of a subgroup S
+are the ones inside S, so S's normal subgroups, quotients and coset
+fibers are read off that lattice in G's ids, once, and shared by every
+visit to S; nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ from .errors import InvalidInput, OrderCapExceeded, StructureViolation
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _coset_quotient,
+    _is_normal_within,
     all_subgroups,
     automorphisms,
-    exact_factorizations,
-    is_normal,
     is_simple,
     isomorphisms_all,
-    quotient,
 )
 from .operators import (
     RBOperator,
@@ -168,21 +168,21 @@ def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
     )
 
 
-def _factor_data(S: Subgroup):
-    """S packed as a standalone group, with one (N, Q, proj, fibers) entry
-    per normal subgroup N of the packed group: Q = S/N, proj the
-    projection onto it, and fibers[q] the local ids of the coset q."""
-    pack = S.as_group()
+def _factor_data(G: FiniteGroup, S: Subgroup, subs: list[Subgroup]):
+    """One (N, Q, proj, fibers) entry per normal subgroup N of S, read off
+    G's sweep `subs` (S's subgroups are those of G inside S), in G's ids:
+    Q = S/N, proj the coset map {s: coset id}, fibers[q] the coset q."""
     entries = []
-    for N in all_subgroups(pack.group):
-        if not is_normal(N):
+    for N in subs:
+        if (S.order % N.order or not N.as_set() <= S.as_set()
+                or not _is_normal_within(G, N, S)):
             continue
-        Q, proj = quotient(pack.group, N)
+        Q, proj = _coset_quotient(G, S.elements, N)
         fibers: dict[int, list[int]] = {}
-        for local in pack.group.elements():
-            fibers.setdefault(proj(local), []).append(local)
+        for s, q in proj.items():
+            fibers.setdefault(q, []).append(s)
         entries.append((N, Q, proj, fibers))
-    return pack, entries
+    return entries
 
 
 def graph_enumerate(G: FiniteGroup) -> Census:
@@ -195,9 +195,9 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     is deduplicated.  A candidate survives when its order is |G| and no
     nonidentity element pairs with itself.
 
-    Each subgroup's normal subgroups, quotients and coset fibers are
-    built once per call, before the walk, and shared by every visit as
-    A or as C; nothing is kept between calls.
+    G's subgroups are swept once; before the walk, each one's normal
+    subgroups, quotients and coset fibers are read off that lattice in
+    G's ids and shared by every visit as A or as C; nothing is kept.
     """
     n = G.order
     e = G.identity
@@ -206,12 +206,11 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
-    factors = {s.elements: _factor_data(s) for s in subs}
+    factors = {s.elements: _factor_data(G, s, subs) for s in subs}
 
     found: list[tuple[int, ...]] = []
     for A in subs:
-        packA, entriesA = factors[A.elements]
-        for Bn, QA, projA, _ in entriesA:
+        for Bn, QA, projA, _ in factors[A.elements]:
             if (n % Bn.order) != 0:
                 continue
             c_order = n // Bn.order
@@ -220,29 +219,17 @@ def graph_enumerate(G: FiniteGroup) -> Census:
                 if C.order % quot_order != 0:
                     continue
                 d_order = C.order // quot_order
-                packC, entriesC = factors[C.elements]
-                for Dn, QC, projC, fibers in entriesC:
+                for Dn, QC, projC, fibers in factors[C.elements]:
                     if Dn.order != d_order:
                         continue
                     common = sorted(A.as_set() & C.as_set())
                     for phi in isomorphisms_all(QA, QC):
-                        ok = True
-                        for x in common:
-                            if x == e:
-                                continue
-                            qa = projA(packA.from_parent[x])
-                            qc = projC(packC.from_parent[x])
-                            if phi(qa) == qc:
-                                ok = False
-                                break
-                        if not ok:
+                        if any(x != e and phi(projA[x]) == projC[x]
+                               for x in common):
                             continue
                         images = [-1] * n
-                        for a_local in packA.group.elements():
-                            x = packA.to_parent[a_local]
-                            qc = phi(projA(a_local))
-                            for c_local in fibers[qc]:
-                                y = packC.to_parent[c_local]
+                        for x in A.elements:
+                            for y in fibers[phi(projA[x])]:
                                 g = t[x][inv[y]]
                                 if images[g] != -1:
                                     raise StructureViolation(
@@ -376,7 +363,8 @@ class SimpleCheck:
 
 def simple_group_check(G: FiniteGroup, census: Optional[Census] = None) -> SimpleCheck:
     """For a simple group: trivial-kernel operators must be inversion, and
-    non-elementary operators must split along an exact factorization."""
+    non-elementary operators must split along an exact factorization,
+    tested on each one's kernel and image without a subgroup sweep."""
     if not is_simple(G):
         raise InvalidInput("check applies to simple groups only")
     if census is None:
@@ -385,7 +373,6 @@ def simple_group_check(G: FiniteGroup, census: Optional[Census] = None) -> Simpl
     b0_images = (G.identity,) * G.order
     trivial_ok = True
     split_ok = True
-    pairs = {(H.elements, L.elements) for H, L in exact_factorizations(G)}
     covered = True
     for op in census.operators:
         if kernel(op).order == 1 and op.images != inv_images:
@@ -396,7 +383,8 @@ def simple_group_check(G: FiniteGroup, census: Optional[Census] = None) -> Simpl
         if not sp:
             split_ok = False
             continue
-        if (sp.kernel.elements, sp.image.elements) not in pairs:
+        K, I = sp.kernel, sp.image
+        if K.order * I.order != G.order or K.as_set() & I.as_set() != {G.identity}:
             covered = False
     return SimpleCheck(
         census_size=len(census.operators),

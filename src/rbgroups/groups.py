@@ -126,9 +126,9 @@ def _require_order(n: int, what: str) -> None:
 # Up to this order the group axioms and homomorphisms are checked by
 # walking lists, above it by array operations.  Both sides give the same
 # results and messages.  On small tables numpy's fixed cost per call
-# outweighs the O(n^2) work, and most tables a census builds (quotients
-# and repacked subgroups) have order 4 or less; from about order 16 the
-# arrays are faster.
+# outweighs the O(n^2) work, and most tables a census builds (its
+# quotients) have order 4 or less; from about order 16 the arrays are
+# faster.
 _LIST_CHECKS_UP_TO = 16
 
 
@@ -783,22 +783,29 @@ def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
-    """The quotient G/N with its projection; N must be normal."""
+    """The quotient G/N with its projection; N must be normal.  The
+    projection is a homomorphism by construction and is not re-checked."""
     if N.parent is not G:
         raise InvalidInput("subgroup belongs to a different group")
     if not is_normal(N):
         raise NotNormal(f"subgroup {N.elements} is not normal")
-    coset_key = {}
-    for g in G.elements():
-        coset_key[g] = min(G.table[g][u] for u in N.elements)
-    reps = sorted(set(coset_key.values()))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    coset_of = [rep_index[coset_key[g]] for g in G.elements()]
-    m = len(reps)
-    table = [[coset_of[G.table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    Q = from_cayley_table(table, name=f"{G.name}/N" if G.name else "")
-    proj = GroupMap.hom(G, Q, coset_of)
+    Q, coset = _coset_quotient(G, G.elements(), N, f"{G.name}/N" if G.name else "")
+    proj = GroupMap(G, Q, tuple(coset.values()), homomorphism=True,
+                    bijective=N.order == 1)
     return Q, proj
+
+
+def _coset_quotient(G: FiniteGroup, elements: Iterable[int], N: Subgroup,
+                    name: str = "") -> tuple[FiniteGroup, dict[int, int]]:
+    """S/N in G's ids, for the subgroup S of G with the given elements and
+    a normal subgroup N of S, which the caller ensures: Q and the coset map
+    {s: coset id}, cosets numbered in the order of their least elements."""
+    t = G.table
+    key = {s: min(t[s][u] for u in N.elements) for s in elements}
+    rank = {r: i for i, r in enumerate(sorted(set(key.values())))}
+    coset = {s: rank[r] for s, r in key.items()}
+    table = [[coset[t[a][b]] for b in rank] for a in rank]
+    return from_cayley_table(table, name=name), coset
 
 
 def is_simple(G: FiniteGroup) -> bool:

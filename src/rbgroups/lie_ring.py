@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import PreconditionFailed, StructureViolation
-from .groups import FiniteGroup, Subgroup, lower_central_series, quotient
+from .groups import FiniteGroup, Subgroup, _coset_quotient, lower_central_series
 from .operators import RBOperator, verify
 
 __all__ = [
@@ -45,7 +45,7 @@ class Layer:
 
     degree: int
     quotient: FiniteGroup
-    projection: dict  # element of the series term -> coset id
+    projection: dict  # the term's coset map {element in G's ids: coset id}
 
 
 class GradedLieRing:
@@ -158,11 +158,7 @@ def graded_lie_ring(G: FiniteGroup) -> GradedLieRing:
         upper, lower = series[k], series[k + 1]
         if upper.order == lower.order:
             continue
-        pack = upper.as_group()
-        inner = Subgroup(pack.group, sorted(pack.from_parent[x]
-                                           for x in lower.elements))
-        Q, proj = quotient(pack.group, inner)
-        projection = {pack.to_parent[x]: proj(x) for x in pack.group.elements()}
+        Q, projection = _coset_quotient(G, upper.elements, lower)
         layers.append(Layer(k + 1, Q, projection))
     return GradedLieRing(G, series, layers)
 

@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 from helpers import counting, exhaustive_census, reference_orbits
-from rbgroups import enumeration, operators
-from rbgroups.corpus import corpus_group
+from rbgroups import enumeration, groups, operators
+from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import (
+    DEFAULT_BRUTE_CAP,
+    SimpleCheck,
     brute_force_enumerate,
     classify,
     graph_enumerate,
@@ -46,11 +48,16 @@ def test_golden_census_files(s3, z4):
     assert got == [tuple(x) for x in z4_golden["operators"]]
 
 
-def test_brute_equals_graph(s3, z6, q8):
-    for G in (s3, z6, q8):
+def test_brute_equals_graph():
+    # brute force is the independent check on the graph census, on every
+    # corpus group it reaches
+    small = [n for n in corpus_names() if corpus_group(n).order <= DEFAULT_BRUTE_CAP]
+    assert len(small) == 14
+    for name in small:
+        G = corpus_group(name)
         brute = set(brute_force_enumerate(G).image_tuples())
         graph = set(graph_enumerate(G).image_tuples())
-        assert brute == graph
+        assert brute == graph, name
 
 
 def test_exhaustive_equals_brute_tiny():
@@ -138,27 +145,42 @@ def test_splitting_report(s3):
         assert set(ker) == {g for g in s3.elements() if op(g) == 0}
 
 
+def _count_sweeps(monkeypatch):
+    """Count subgroup sweeps, under both names the library calls them by,
+    and factorization searches, which may be handed a sweep."""
+    calls = {"sweeps": 0}
+    real = groups.all_subgroups
+    monkeypatch.setattr(groups, "all_subgroups", counting(calls, "sweeps", real))
+    monkeypatch.setattr(enumeration, "all_subgroups", counting(calls, "sweeps", real))
+    monkeypatch.setattr(groups, "exact_factorizations",
+                        counting(calls, "sweeps", groups.exact_factorizations))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["S3", "D4"])
 def test_splitting_report_keys_are_exact_factorizations(monkeypatch, name):
     # every (kernel, image) key factors the group exactly, and the report
     # finds that out without a subgroup sweep
     G = corpus_group(name)
     census = graph_enumerate(G)
-    calls = {"factorizations": 0}
-    monkeypatch.setattr(enumeration, "exact_factorizations",
-                        counting(calls, "factorizations",
-                                 enumeration.exact_factorizations))
-    report = splitting_report(census)
-    assert calls == {"factorizations": 0}
     pairs = {(H.elements, L.elements) for H, L in exact_factorizations(G)}
+    calls = _count_sweeps(monkeypatch)
+    report = splitting_report(census)
+    assert calls == {"sweeps": 0}
     assert set(report.splitting.values()) <= pairs
 
 
-def test_simple_group_check_a5_shape():
-    # the full A5 run is the business of the acceptance suite; here the
-    # input guard and the S3 rejection
+def test_simple_group_check_a5_shape(monkeypatch):
+    # A5's 62 operators: inversion is the one with trivial kernel, and the
+    # 60 non-elementary ones split along exact factorizations, which the
+    # check tests pair by pair without a subgroup sweep
     with pytest.raises(InvalidInput):
         simple_group_check(corpus_group("S3"))
+    A5 = corpus_group("A5")
+    census = graph_enumerate(A5)
+    calls = _count_sweeps(monkeypatch)
+    assert simple_group_check(A5, census) == SimpleCheck(62, True, True, True)
+    assert calls == {"sweeps": 0}
 
 
 def test_weight_minus_one_census(s3):
@@ -179,11 +201,13 @@ def test_census_contains_elementaries(d4):
 
 
 @pytest.mark.parametrize(
-    "name, size, n_sweeps", [("S4", 100, 31), ("Heis3", 810, 20), ("A5", 62, 60)]
+    "name, size, n_pairs, n_closures",
+    [("S4", 100, 93, 852), ("Heis3", 810, 58, 920), ("A5", 62, 153, 3402)],
 )
-def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_sweeps):
-    # one subgroup sweep of G, then one per subgroup (for its normal
-    # subgroups), and one quotient per (subgroup, normal subgroup) pair
+def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
+                                              n_closures):
+    # one subgroup sweep of G, and one quotient per (subgroup, normal
+    # subgroup) pair, counted independently on each subgroup repacked
     G = corpus_group(name)
     subs = all_subgroups(G)
     pairs = sum(
@@ -192,22 +216,26 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_sweeps)
     )
     sweeps = []
     quotients = []
-    real_sweep, real_quotient = enumeration.all_subgroups, enumeration.quotient
+    calls = {"closures": 0}
+    real_sweep, real_quotient = enumeration.all_subgroups, enumeration._coset_quotient
 
     def counting_sweep(H, *args, **kwargs):
         sweeps.append(H)
         return real_sweep(H, *args, **kwargs)
 
-    def counting_quotient(H, N):
-        quotients.append((id(H), N.elements))
-        return real_quotient(H, N)
+    def counting_quotient(H, elements, N, *args):
+        quotients.append((tuple(elements), N.elements))
+        return real_quotient(H, elements, N, *args)
 
     monkeypatch.setattr(enumeration, "all_subgroups", counting_sweep)
-    monkeypatch.setattr(enumeration, "quotient", counting_quotient)
+    monkeypatch.setattr(enumeration, "_coset_quotient", counting_quotient)
+    monkeypatch.setattr(groups, "_closure",
+                        counting(calls, "closures", groups._closure))
     census = graph_enumerate(G)
     assert len(census) == size
-    assert len(sweeps) == 1 + len(subs) == n_sweeps
-    assert len(quotients) == len(set(quotients)) <= pairs
+    assert sweeps == [G]
+    assert len(quotients) == len(set(quotients)) == pairs == n_pairs
+    assert calls == {"closures": n_closures}
 
 
 @pytest.mark.parametrize(

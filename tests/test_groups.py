@@ -336,6 +336,26 @@ def test_quotient(s3, d4):
     assert is_isomorphic(Z, corpus_group("Z2xZ2")) is not None
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "A5"])
+def test_quotient_projection_is_proved(monkeypatch, name):
+    # the projection is a homomorphism by construction: it is marked one
+    # without the pairwise check, and the check finds no defect
+    G = corpus_group(name)
+    normals = [N for N in all_subgroups(G) if is_normal(N)]
+    calls = {"checked_hom": 0}
+    monkeypatch.setattr(groups, "_checked_hom",
+                        counting(calls, "checked_hom", groups._checked_hom))
+    for N in normals:
+        Q, proj = quotient(G, N)
+        assert Q.order * N.order == G.order
+        assert proj.homomorphism and proj.bijective == (N.order == 1)
+        assert proj.hom_defect() is None
+        # cosets are numbered in the order of their least elements
+        least = [min(g for g in G.elements() if proj(g) == q) for q in Q.elements()]
+        assert least == sorted(least)
+    assert calls == {"checked_hom": 0}
+
+
 @pytest.mark.parametrize("name,count", [
     ("S3", 6), ("Z4", 2), ("Z6", 2), ("Q8", 24), ("D4", 8), ("Z2xZ2", 6),
 ])
