@@ -302,33 +302,20 @@ def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
     plain: component i becomes the product g_{i-1} g_{i-2} ... g_1 (so
     the first component is e).  tilde: component i becomes
     g_i^-1 g_{i-1}^-1 ... g_1^-1.  The two are each other's images under
-    the tilde involution.
+    the tilde involution.  Both are power products (`power_product_rb`)
+    with r_si = [s < i] for plain and r_si = -[s <= i] for tilde.  Both
+    matrices pass `rb_matrix_check` for every n (the tests check n <= 3),
+    so it is not run here.
     """
     if variant not in ("plain", "tilde"):
         raise InvalidInput(f"variant must be 'plain' or 'tilde', got {variant!r}")
     if n < 1:
         raise InvalidInput("cascade needs n >= 1")
-    if prod is None:
-        prod = direct_power(G, n)
-    elif len(prod.factors) != n or any(F is not G for F in prod.factors):
-        raise InvalidInput("product does not match the requested power")
-    P = prod.group
-
-    t, inv = G.table, G.inverses
-    images = []
-    for x in P.elements():
-        parts = prod.decode(x)
-        acc = G.identity
-        comps = []
-        for g in parts:
-            if variant == "plain":
-                comps.append(acc)
-                acc = t[g][acc]
-            else:
-                acc = t[acc][g]
-                comps.append(inv[acc])
-        images.append(prod.encode(comps))
-    return _wrap_valid(P, images, 1, "cascade" if variant == "plain" else "cascade mirror")
+    if variant == "plain":
+        r = [[int(s < i) for i in range(n)] for s in range(n)]
+    else:
+        r = [[-int(s <= i) for i in range(n)] for s in range(n)]
+    return _power_product(G, n, r, None, prod)
 
 
 @dataclass(frozen=True)
@@ -460,6 +447,14 @@ def power_product_rb(G: FiniteGroup, n: int, r,
         raise InvalidMatrix("matrix must be upper-triangular")
     if not rb_matrix_check(m):
         raise InvalidMatrix("matrix fails the split-algebra conditions")
+    return _power_product(G, n, m.entries, psis, prod)
+
+
+def _power_product(G: FiniteGroup, n: int, r: Sequence[Sequence[int]],
+                   psis: Optional[Sequence[GroupMap]],
+                   prod: Optional[DirectProduct]) -> RBOperator:
+    """`power_product_rb` for a matrix r that passes its checks.  Without
+    psis every twist is the identity, which gives the plain product."""
     if prod is None:
         prod = direct_power(G, n)
     elif len(prod.factors) != n or any(F is not G for F in prod.factors):
@@ -472,33 +467,26 @@ def power_product_rb(G: FiniteGroup, n: int, r,
                 raise InvalidInput("twist automorphism acts on a different group")
             if not (psi.homomorphism and psi.bijective):
                 raise InvalidInput("twists must be verified automorphisms")
-    P = prod.group
-
-    def power(x: int, exp: int) -> int:
-        if exp == 0:
-            return G.identity
-        return x if exp == 1 else G.inverses[x]
-
+    t = G.table
+    # powers[k][x] = x^k for k in -1, 0, 1; twists[k] is psis[k] as an array.
+    # With ids from 0, component i is
+    # g_i^r_ii twists[i-1](g_(i-1)^r_(i-1)i twists[i-2](... twists[0](g_0^r_0i)))
+    powers = {1: range(G.order), 0: (G.identity,) * G.order, -1: G.inverses}
+    twists = [range(G.order)] * (n - 1) if psis is None else [p.images for p in psis]
+    steps = [[(powers[r[s][i]], twists[s - 1]) for s in range(1, i + 1)]
+             for i in range(n)]
     images = []
-    for x in P.elements():
+    for x in prod.group.elements():
         parts = prod.decode(x)
-        if psis is None:
-            comps = []
-            for i in range(n):
-                acc = G.identity
-                for s in range(i, -1, -1):
-                    acc = G.table[acc][power(parts[s], m[s, i])]
-                comps.append(acc)
-        else:
-            comps = [power(parts[0], m[0, 0])]
-            for i in range(1, n):
-                acc = power(parts[0], m[0, i])
-                for s in range(1, i):
-                    acc = G.table[power(parts[s], m[s, i])][psis[s - 1](acc)]
-                comps.append(G.table[power(parts[i], m[i, i])][psis[i - 1](acc)])
+        comps = []
+        for i in range(n):
+            acc = powers[r[0][i]][parts[0]]
+            for s, (power, twist) in enumerate(steps[i], 1):
+                acc = t[power[parts[s]]][twist[acc]]
+            comps.append(acc)
         images.append(prod.encode(comps))
     what = "matrix power product" if psis is None else "twisted matrix power product"
-    return _wrap_valid(P, images, 1, what)
+    return _wrap_valid(prod.group, images, 1, what)
 
 
 def nonsplitting_witness(H: FiniteGroup, L: FiniteGroup) -> RBOperator:

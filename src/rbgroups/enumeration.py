@@ -201,14 +201,13 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     """
     n = G.order
     e = G.identity
-    t, inv = G.table, G.inverses
     subs = all_subgroups(G)
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
     factors = {s.elements: _factor_data(G, s, subs) for s in subs}
 
-    found: list[tuple[int, ...]] = []
+    found: list[RBOperator] = []
     for A in subs:
         for Bn, QA, projA, _ in factors[A.elements]:
             if (n % Bn.order) != 0:
@@ -227,33 +226,33 @@ def graph_enumerate(G: FiniteGroup) -> Census:
                         if any(x != e and phi(projA[x]) == projC[x]
                                for x in common):
                             continue
-                        images = [-1] * n
-                        for x in A.elements:
-                            for y in fibers[phi(projA[x])]:
-                                g = t[x][inv[y]]
-                                if images[g] != -1:
-                                    raise StructureViolation(
-                                        "difference map not injective despite "
-                                        "trivial diagonal"
-                                    )
-                                images[g] = y
-                        if any(v < 0 for v in images):
-                            raise StructureViolation(
-                                "decoded map is not total"
-                            )
-                        found.append(tuple(images))
+                        found.append(_decode_graph(G, (
+                            (x, y) for x in A.elements
+                            for y in fibers[phi(projA[x])])))
 
-    found.sort()
-    ops = []
-    for row in found:
-        op = RBOperator(G, row, weight=1)
-        v = verify(op)
-        if not v:
+    found.sort(key=lambda op: op.images)
+    return Census(G, "graph", tuple(found))
+
+
+def _decode_graph(G: FiniteGroup, pairs) -> RBOperator:
+    """The operator B(x y^-1) = y read off the pairs (x, y) of a
+    diagonal-free subgroup of G x G of order |G|, as the module docstring
+    decodes it, with the one full check."""
+    t, inv = G.table, G.inverses
+    images = [-1] * G.order
+    for x, y in pairs:
+        g = t[x][inv[y]]
+        if images[g] != -1:
             raise StructureViolation(
-                f"decoded subgroup fails verification at {v.witness}"
-            )
-        ops.append(op)
-    return Census(G, "graph", tuple(ops))
+                "difference map not injective despite trivial diagonal")
+        images[g] = y
+    if -1 in images:
+        raise StructureViolation("decoded map is not total")
+    op = RBOperator(G, images, weight=1)
+    v = verify(op)
+    if not v:
+        raise StructureViolation(f"decoded subgroup fails verification at {v.witness}")
+    return op
 
 
 def classify(census: Census) -> Census:

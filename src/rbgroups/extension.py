@@ -43,9 +43,10 @@ from typing import Optional, Sequence
 
 import random
 
-from .errors import CondFails, InvalidInput, StructureViolation
+from .enumeration import _decode_graph
+from .errors import CondFails, InvalidInput
 from .groups import FiniteGroup, GroupMap, from_cayley_table, subgroup_generated
-from .operators import RBOperator, verify
+from .operators import RBOperator
 
 __all__ = [
     "Word",
@@ -86,6 +87,7 @@ def _check_problem(G: FiniteGroup, gens: Sequence[int],
 def word_image(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
                word: Sequence) -> int:
     """The word evaluated through the prescribed images."""
+    gens, images = _check_problem(G, gens, images)
     _check_word(word, len(gens))
     acc = G.identity
     for i, k in word:
@@ -102,6 +104,7 @@ def word_probe(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
     integers; splitting a syllable leaves both parts unchanged, so the
     value depends only on the underlying free-group word.
     """
+    gens, images = _check_problem(G, gens, images)
     _check_word(word, len(gens))
     t = G.table
     left = G.identity
@@ -319,25 +322,6 @@ def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
     )
 
 
-def _decode_closure(G: FiniteGroup, pairs) -> RBOperator:
-    """The operator B(x y^-1) = y read off a diagonal-free closure of
-    size |G|, with the one full check."""
-    t, inv = G.table, G.inverses
-    imgs = [-1] * G.order
-    for x, y in pairs:
-        g = t[x][inv[y]]
-        if imgs[g] != -1:
-            raise StructureViolation("closure decodes the same element twice")
-        imgs[g] = y
-    if -1 in imgs:
-        raise StructureViolation("full-size closure failed to cover the group")
-    op = RBOperator(G, imgs, weight=1)
-    v = verify(op)
-    if not v:
-        raise StructureViolation(f"decoded extension is invalid at {v.witness}")
-    return op
-
-
 def extend_generators(G: FiniteGroup, gens: Sequence[int],
                       images: Sequence[int]) -> ExtensionResult:
     """Decide whether B(a_i) = u_i extends to a valid operator on G.
@@ -397,5 +381,5 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
     return ExtensionResult(
         status="extends", cond=True, closure_order=len(parents),
         via="closure" if node is parents else "search",
-        operator=_decode_closure(G, node),
+        operator=_decode_graph(G, node),
     ), parents

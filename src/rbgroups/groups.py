@@ -510,8 +510,26 @@ class GroupMap:
         return m
 
     def hom_defect(self) -> Optional[tuple[int, int]]:
-        """First pair in row-major order where f(ab) != f(a)f(b), or None."""
-        return _hom_defect(self)
+        """First pair in row-major order where f(ab) != f(a)f(b), or None.
+
+        A domain up to order _LIST_CHECKS_UP_TO is walked pair by pair; a
+        larger one takes one gather over the two tables as arrays.
+        """
+        f = self.images
+        if self.domain.order <= _LIST_CHECKS_UP_TO:
+            dt, ct = self.domain.table, self.codomain.table
+            for a in self.domain.elements():
+                fa = f[a]
+                for b in self.domain.elements():
+                    if f[dt[a][b]] != ct[fa][f[b]]:
+                        return (a, b)
+            return None
+        fs = np.array(f, dtype=np.int32)
+        bad = fs[self.domain.np_table()] != self.codomain.np_table()[fs[:, None], fs]
+        if not bad.any():
+            return None
+        a, b = divmod(int(bad.argmax()), len(fs))
+        return a, b
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """self after other (apply `other` first)."""
@@ -535,43 +553,12 @@ class GroupMap:
         return GroupMap(self.codomain, self.domain, tuple(inv),
                         homomorphism=self.homomorphism, bijective=True)
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.images)
 
-
-def _hom_defect(m: GroupMap, dt: Optional[np.ndarray] = None,
-                ct: Optional[np.ndarray] = None) -> Optional[tuple[int, int]]:
-    """First pair in row-major order where f(ab) != f(a)f(b), or None.
-
-    A domain up to order _LIST_CHECKS_UP_TO is walked pair by pair; a
-    larger one takes one gather over the domain and codomain tables as
-    arrays, dt and ct when the caller holds them.
-    """
-    f = m.images
-    if m.domain.order <= _LIST_CHECKS_UP_TO:
-        dt, ct = m.domain.table, m.codomain.table
-        for a in m.domain.elements():
-            fa = f[a]
-            for b in m.domain.elements():
-                if f[dt[a][b]] != ct[fa][f[b]]:
-                    return (a, b)
-        return None
-    dt = m.domain.np_table() if dt is None else dt
-    ct = m.codomain.np_table() if ct is None else ct
-    fs = np.array(f, dtype=np.int32)
-    bad = fs[dt] != ct[fs[:, None], fs]
-    if not bad.any():
-        return None
-    a, b = divmod(int(bad.argmax()), len(fs))
-    return a, b
-
-
-def _checked_hom(domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int],
-                 dt: Optional[np.ndarray] = None,
-                 ct: Optional[np.ndarray] = None) -> GroupMap:
-    """`GroupMap.hom`, with the two tables as arrays when the caller holds them."""
+def _checked_hom(domain: FiniteGroup, codomain: FiniteGroup,
+                 images: Sequence[int]) -> GroupMap:
+    """`GroupMap.hom`: the map, checked on all pairs."""
     m = GroupMap(domain, codomain, tuple(images))
-    w = _hom_defect(m, dt, ct)
+    w = m.hom_defect()
     if w is not None:
         a, b = w
         raise NotHomomorphism(f"not a homomorphism at pair ({a}, {b})")
@@ -601,7 +588,9 @@ class PackedSubgroup:
 
 
 class Subgroup:
-    """A validated subgroup of a parent group, stored as sorted element ids."""
+    """A subgroup of a parent group, stored as sorted element ids.  The
+    constructor checks elements from outside in full; `_proved` builds
+    what a closure or a theorem proves, unchecked."""
 
     __slots__ = ("parent", "elements", "_set", "_packed")
 
@@ -622,6 +611,17 @@ class Subgroup:
         self.elements = elems
         self._set = eset
         self._packed = None
+
+    @classmethod
+    def _proved(cls, parent: FiniteGroup, elements: Iterable[int]) -> "Subgroup":
+        """A subgroup proved by a closure or a theorem, its distinct ids
+        read off the tables of `parent`: no coercion and no check."""
+        out = cls.__new__(cls)
+        out.parent = parent
+        out.elements = tuple(sorted(elements))
+        out._set = frozenset(out.elements)
+        out._packed = None
+        return out
 
     @property
     def order(self) -> int:
@@ -669,7 +669,9 @@ class Subgroup:
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """The smallest subgroup containing the given elements."""
-    return Subgroup(G, _closure(G.table, G.identity, tuple(gens)))
+    gens = tuple(gens)
+    G.check_elements(gens)
+    return Subgroup._proved(G, _closure(G.table, G.identity, gens))
 
 
 def _closure(table: Sequence[Sequence[int]], identity: int,
@@ -722,7 +724,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                 bigger = _closure(G.table, G.identity, gens + (g,))
                 add(bigger, gens + (g,))
 
-    subs = [Subgroup(G, elems) for elems in seen]
+    subs = [Subgroup._proved(G, elems) for elems in seen]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 
@@ -735,7 +737,7 @@ def center(G: FiniteGroup) -> Subgroup:
             for g in G.elements()
             if all(t[g][h] == t[h][g] for h in G.elements())
         ]
-        G._center = Subgroup(G, zs)
+        G._center = Subgroup._proved(G, zs)
     return G._center
 
 
@@ -751,6 +753,7 @@ def _is_normal_within(G: FiniteGroup, inner: Subgroup, outer: Subgroup) -> bool:
 
 def normal_closure(G: FiniteGroup, g: int) -> Subgroup:
     """Smallest normal subgroup containing g: generated by its conjugacy class."""
+    G.check_elements((g,))
     cls = sorted({G.conj(g, x) for x in G.elements()})
     return subgroup_generated(G, cls)
 
@@ -773,7 +776,7 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
     """The chain G = G_1 >= G_2 >= ... with G_{k+1} = [G, G_k], cut at the
     first repeated term.  Nilpotent groups end at the trivial subgroup."""
-    whole = Subgroup(G, G.elements())
+    whole = Subgroup._proved(G, G.elements())
     chain = [whole]
     while True:
         nxt = commutator_subgroup(G, whole, chain[-1])
@@ -871,23 +874,18 @@ class DirectProduct:
             parts = [F.name or "?" for F in factors]
             name = "x".join(parts) if all(F.name for F in factors) else ""
         self.group = from_cayley_table(table, name=name)
-        self.injections = tuple(self._injection(i, table) for i in range(len(factors)))
-        self.projections = tuple(self._projection(i, table) for i in range(len(factors)))
-
-    def _injection(self, i: int, table: np.ndarray) -> GroupMap:
-        idbase = [F.identity for F in self.factors]
-        images = []
-        for g in self.factors[i].elements():
-            parts = list(idbase)
-            parts[i] = g
-            images.append(self.encode(parts))
-        F = self.factors[i]
-        return _checked_hom(F, self.group, images, F.np_table(), table)
-
-    def _projection(self, i: int, table: np.ndarray) -> GroupMap:
-        images = [self.decode(x)[i] for x in self.group.elements()]
-        F = self.factors[i]
-        return _checked_hom(self.group, F, images, table, F.np_table())
+        # homomorphisms by construction, bijective iff the other factors are trivial
+        P, ids = self.group, [F.identity for F in factors]
+        self.injections = tuple(
+            GroupMap(F, P, tuple(self.encode(ids[:i] + [g] + ids[i + 1:])
+                                 for g in F.elements()),
+                     homomorphism=True, bijective=F.order == P.order)
+            for i, F in enumerate(self.factors))
+        coords = [self.decode(x) for x in P.elements()]
+        self.projections = tuple(
+            GroupMap(P, F, tuple(c[i] for c in coords),
+                     homomorphism=True, bijective=F.order == P.order)
+            for i, F in enumerate(self.factors))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProduct:
@@ -977,10 +975,13 @@ class WreathProduct:
 
         self.encode, self.decode = encode, decode
         # funs[i, x] = f(x) for the function f numbered i; shifted[i, l'] numbers
-        # x -> f(l' x), so the base part of (l, f)(l', f') is base_table[shifted, f']
-        LT, radix = L.np_table(), (H.order,) * L.order
-        funs = np.stack(np.unravel_index(np.arange(base), radix), axis=1)
-        shifted = np.ravel_multi_index(np.moveaxis(funs[:, LT], -1, 0), radix)
+        # x -> f(l' x), so the base part of (l, f)(l', f') is base_table[shifted, f'].
+        # Digits are taken by arithmetic: numpy's (un)ravel_index refuses the
+        # 64 or more digits a trivial H allows.
+        LT = L.np_table()
+        weights = H.order ** np.arange(L.order - 1, -1, -1, dtype=np.int64)
+        funs = np.arange(base, dtype=np.int64)[:, None] // weights % H.order
+        shifted = funs[:, LT] @ weights
         base_table = _product_table([H.np_table()] * L.order)
         table = LT[:, None, :, None] * base + base_table[shifted][None]
         self.group = from_cayley_table(table.reshape(total, total), name=name)

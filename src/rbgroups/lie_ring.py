@@ -15,6 +15,13 @@ the graded side to the weight-1 Lie identity
 
 which is verified on homogeneous pairs (both sides are biadditive once
 the layer maps are additive, so homogeneous pairs decide).
+
+Two theorems let the bracket and the layer maps be read at the least
+element of each coset, unchecked (the tests check them on the corpus):
+(1) for x in G_i and y in G_j, [x, y] lies in G_{i+j} and its coset
+modulo G_{i+j+1} depends only on x G_{i+1} and y G_{j+1}; (2) an
+operator mapping every series term into itself is constant on the
+cosets of each layer (`induced_rb` says why).
 """
 
 from __future__ import annotations
@@ -89,51 +96,22 @@ class GradedLieRing:
             layer.quotient.inverses[a] for layer, a in zip(self.layers, v)
         )
 
-    def _term(self, degree: int) -> Subgroup:
-        return self.series[min(degree, len(self.series)) - 1]
-
     def _layer_bracket(self, i: int, j: int):
-        """Table of homogeneous brackets from layers i, j (list indices)
-        into the layer of degree d_i + d_j; None when that layer is trivial."""
+        """(table, target index) of the bracket of layers i, j into degree
+        d_i + d_j, None when that layer is trivial: one commutator per
+        pair of least coset elements, by theorem (1)."""
         key = (i, j)
-        got = self._brackets.get(key)
-        if got is not None:
-            return got
-        li, lj = self.layers[i], self.layers[j]
-        d = li.degree + lj.degree
-        target = self._by_degree.get(d)
-        lt = self.layers[target] if target is not None else None
-        term = self._term(d)
-        G = self.group
-        table = []
-        for x in li.projection:
-            row = {}
-            for y in lj.projection:
-                c = G.comm(x, y)
-                if c not in term:
-                    raise StructureViolation(
-                        f"commutator of degrees {li.degree}, {lj.degree} "
-                        f"escapes the series term at degree {d}"
-                    )
-                row[y] = None if lt is None else lt.projection[c]
-            table.append(row)
-        # collapse to coset level, insisting on representative independence
-        out = [[0] * lj.quotient.order for _ in range(li.quotient.order)]
-        seen = [[None] * lj.quotient.order for _ in range(li.quotient.order)]
-        for xi, x in enumerate(li.projection):
-            for y in lj.projection:
-                a, b = li.projection[x], lj.projection[y]
-                val = table[xi][y]
-                if seen[a][b] is None:
-                    seen[a][b] = val
-                    out[a][b] = val if val is not None else -1
-                elif seen[a][b] != val:
-                    raise StructureViolation(
-                        "bracket value depends on coset representatives"
-                    )
-        res = (out, None if lt is None else target)
-        self._brackets[key] = res
-        return res
+        if key not in self._brackets:
+            li, lj = self.layers[i], self.layers[j]
+            target = self._by_degree.get(li.degree + lj.degree)
+            got = None
+            if target is not None:
+                proj, comm = self.layers[target].projection, self.group.comm
+                ys = _representatives(lj)
+                got = ([[proj[comm(x, y)] for y in ys] for x in _representatives(li)],
+                       target)
+            self._brackets[key] = got
+        return self._brackets[key]
 
     def bracket(self, v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
         acc = list(self.zero())
@@ -143,12 +121,22 @@ class GradedLieRing:
             for j, lj in enumerate(self.layers):
                 if w[j] == lj.quotient.identity:
                     continue
-                table, target = self._layer_bracket(i, j)
-                if target is None:
+                got = self._layer_bracket(i, j)
+                if got is None:
                     continue
+                table, target = got
                 q = self.layers[target].quotient
                 acc[target] = q.table[acc[target]][table[v[i]][w[j]]]
         return tuple(acc)
+
+
+def _representatives(layer: Layer) -> list[int]:
+    """The least element of each coset of the layer, by coset id: the
+    projection lists the term's elements in increasing order."""
+    reps: dict[int, int] = {}
+    for x, c in layer.projection.items():
+        reps.setdefault(c, x)
+    return [reps[c] for c in range(layer.quotient.order)]
 
 
 def graded_lie_ring(G: FiniteGroup) -> GradedLieRing:
@@ -223,8 +211,11 @@ def induced_rb(ring: GradedLieRing, op: RBOperator) -> InducedRB:
     """Push a series-preserving operator down to the layers.
 
     Refuses with PreconditionFailed when the operator is invalid, has
-    the wrong weight, or moves some series term off itself.  The layer
-    maps are checked to be constant on cosets.
+    the wrong weight, or moves some series term off itself.  Each layer
+    map is read at one element per coset, by theorem (2) of the module
+    docstring: for x in G_n and k in G_{n+1}, the defining identity gives
+    B(xk) = B(x) B(B(x)^-1 k B(x)), and B(x)^-1 k B(x) lies in G_{n+1},
+    which is normal and mapped into itself, so B(xk) is in B(x) G_{n+1}.
     """
     if op.group is not ring.group:
         raise PreconditionFailed("operator acts on a different group")
@@ -234,19 +225,9 @@ def induced_rb(ring: GradedLieRing, op: RBOperator) -> InducedRB:
         raise PreconditionFailed(f"operator is invalid: witness {op.verified}")
     if not preserves_lower_central(op):
         raise PreconditionFailed("operator does not preserve the series terms")
-    maps = []
-    for layer in ring.layers:
-        m = [None] * layer.quotient.order
-        for x, cx in layer.projection.items():
-            val = layer.projection[op(x)]
-            if m[cx] is None:
-                m[cx] = val
-            elif m[cx] != val:
-                raise StructureViolation(
-                    f"layer {layer.degree} map depends on coset representatives"
-                )
-        maps.append(tuple(m))
-    return InducedRB(ring, op, tuple(maps))
+    maps = tuple(tuple(layer.projection[op(x)] for x in _representatives(layer))
+                 for layer in ring.layers)
+    return InducedRB(ring, op, maps)
 
 
 @dataclass(frozen=True)

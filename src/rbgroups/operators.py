@@ -4,19 +4,24 @@ An operator is a total map B: G -> G stored as an image array.  At
 weight +1 validity means B(g)B(h) = B(gB(g)hB(g)^-1) for all pairs; at
 weight -1 it means C(g)C(h) = C(C(g)hC(g)^-1 g).
 
-Check policy, for the whole library.  `verify`, the one full check,
-walks all |G|^2 pairs, caches its verdict and only decides validity; it
-runs on operators from outside, on census and extension-search results
-and, through `_wrap_valid`, on construction results.  A fact a theorem
-proves about a valid operator is not checked again at run time.  So
-`tilde`, `conjugate`, `weight_convert` and `inverse_argument_convert`,
-bijections proved to preserve validity, settle their argument and build
-their result through `_proved`, with no coercion, range check or
-verification; `is_splitting` and `bplus` trust the splitting
-factorization and the commutation with B; the twisted group in
-`derived`, the splitting report in `enumeration`, the decoded extension
-in `extension` and the constructions in `constructions` trust what
-their theorems say.  The tests check each such fact on its own.
+Check policy, for the whole library.  Input from outside is validated;
+what a theorem or a closure proves is built unchecked, and the tests
+check each such fact on its own.  `verify`, the one full check, walks
+all |G|^2 pairs, caches its verdict and only decides validity; it runs
+on operators from outside, on census and extension-search results and,
+through `_wrap_valid`, on construction results.  Built unchecked: the
+results of the transports `tilde`, `conjugate`, `weight_convert` and
+`inverse_argument_convert` (through `_proved`); the subgroups of
+`Subgroup._proved` (the subgroup sweep, `subgroup_generated` once its
+generators are in range, `center`, the lower central series, `kernel`
+and `image`); the canonical maps of `DirectProduct` and `quotient` and a
+closure group's image map, flagged as homomorphisms; the Lie-ring
+bracket and layer maps, read at one coset representative by the two
+theorems `lie_ring` states.  `is_splitting`, `bplus`, the twisted group
+in `derived`, the splitting report in `enumeration`, the decoded
+extension in `extension` and the constructions trust their theorems.
+The public `Subgroup` and `GroupMap.hom` check in full, as do the group
+table constructors.
 """
 
 from __future__ import annotations
@@ -84,9 +89,6 @@ class RBOperator:
     def __repr__(self):
         state = {None: "unchecked", True: "valid"}.get(self.verified, "invalid")
         return f"RBOperator(weight={self.weight:+d}, {state}, images={self.images})"
-
-    def as_map(self) -> GroupMap:
-        return GroupMap.plain(self.group, self.group, self.images)
 
 
 def rb_operator(group: FiniteGroup, images: Sequence[int],
@@ -255,17 +257,17 @@ def bplus(op: RBOperator) -> GroupMap:
 
 
 def kernel(op: RBOperator) -> Subgroup:
-    """The preimage of the identity; a subgroup for every valid operator."""
+    """The preimage of the identity; a subgroup by a theorem, unchecked."""
     _require_valid(op)
     G = op.group
     e = G.identity
-    return Subgroup(G, [g for g in G.elements() if op.images[g] == e])
+    return Subgroup._proved(G, [g for g in G.elements() if op.images[g] == e])
 
 
 def image(op: RBOperator) -> Subgroup:
-    """The set of values; a subgroup for every valid operator."""
+    """The set of values; a subgroup by a theorem, unchecked."""
     _require_valid(op)
-    return Subgroup(op.group, set(op.images))
+    return Subgroup._proved(op.group, set(op.images))
 
 
 @dataclass(frozen=True)

@@ -200,3 +200,21 @@ def reference_closure_words(G, gens, images, word_pair):
                     nxt.append(w2)
         frontier = nxt
     return found
+
+
+def reference_power_product(G, parts, r):
+    """The plain power product at (g_0, ..., g_{n-1}) for a matrix r over
+    {-1, 0, 1}: component i is g_i^r_ii g_(i-1)^r_(i-1)i ... g_0^r_0i,
+    each factor read off the table and the inverses."""
+    t = G.table
+
+    def power(g, k):
+        return {1: g, 0: G.identity, -1: G.inverses[g]}[k]
+
+    out = []
+    for i in range(len(parts)):
+        acc = G.identity
+        for s in range(i, -1, -1):
+            acc = t[acc][power(parts[s], r[s][i])]
+        out.append(acc)
+    return tuple(out)

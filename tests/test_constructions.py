@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from helpers import counting
-from rbgroups import operators
+from helpers import counting, reference_power_product
+from rbgroups import constructions, operators
 from rbgroups.constructions import (
     affine_map_check,
     cascade_rb,
@@ -32,6 +32,7 @@ from rbgroups.errors import (
     InvalidMatrix,
     NotExactFactorization,
     NotHomomorphism,
+    OrderCapExceeded,
     PreconditionFailed,
     TrivialH,
 )
@@ -310,6 +311,55 @@ def test_cascade_components(s3):
             s3.mul(i[g2], i[g1]),
             s3.prod([i[g3], i[g2], i[g1]]),
         )
+
+
+def _cascade_matrix(n, variant):
+    if variant == "plain":
+        return [[int(s < i) for i in range(n)] for s in range(n)]
+    return [[-int(s <= i) for i in range(n)] for s in range(n)]
+
+
+@pytest.mark.parametrize("name", ["S3", "Z2", "Z3", "D4", "Q8"])
+def test_cascade_is_a_power_product(monkeypatch, name):
+    # plain is the power product of r_si = [s < i], tilde that of
+    # r_si = -[s <= i]; both matrices pass the matrix checks, which the
+    # cascade itself does not run
+    G = corpus_group(name)
+    calls = {"matrix": 0}
+    monkeypatch.setattr(constructions, "rb_matrix_check",
+                        counting(calls, "matrix", rb_matrix_check))
+    for n in (1, 2, 3):
+        prod = direct_power(G, n)
+        for variant in ("plain", "tilde"):
+            r = _cascade_matrix(n, variant)
+            assert rb_matrix_check(r) and split_algebra_rb_check(r)
+            calls["matrix"] = 0
+            op = cascade_rb(G, n, variant, prod=prod)
+            assert calls == {"matrix": 0}
+            for x in prod.group.elements():
+                parts = prod.decode(x)
+                assert prod.decode(op(x)) == reference_power_product(G, parts, r)
+
+
+def test_cascade_argument_errors(s3):
+    with pytest.raises(InvalidInput, match="variant"):
+        cascade_rb(s3, 2, "mirror")
+    with pytest.raises(InvalidInput, match="n >= 1"):
+        cascade_rb(s3, 0)
+    with pytest.raises(InvalidInput, match="requested power"):
+        cascade_rb(s3, 3, prod=direct_power(s3, 2))
+    with pytest.raises(OrderCapExceeded):
+        cascade_rb(s3, 1000)
+
+
+def test_power_product_matches_reference(s3):
+    # every n = 3 matrix on S3^3, against the product read off directly
+    prod = direct_power(s3, 3)
+    for m in enumerate_rb_matrices(3):
+        op = power_product_rb(s3, 3, m, prod=prod)
+        for x in prod.group.elements():
+            parts = prod.decode(x)
+            assert prod.decode(op(x)) == reference_power_product(s3, parts, m.entries)
 
 
 def test_matrix_census_counts():

@@ -170,6 +170,19 @@ def test_splitting_report_keys_are_exact_factorizations(monkeypatch, name):
     assert set(report.splitting.values()) <= pairs
 
 
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_census_checks_no_subgroup(monkeypatch, name):
+    # the sweep and every kernel and image are proved subgroups, so a
+    # census and its splitting report run no subgroup check
+    G = corpus_group(name)
+    calls = {"init": 0}
+    monkeypatch.setattr(groups.Subgroup, "__init__",
+                        counting(calls, "init", groups.Subgroup.__init__))
+    report = splitting_report(graph_enumerate(G))
+    assert report.splitting
+    assert calls == {"init": 0}
+
+
 def test_simple_group_check_a5_shape(monkeypatch):
     # A5's 62 operators: inversion is the one with trivial kernel, and the
     # 60 non-elementary ones split along exact factorizations, which the

@@ -26,6 +26,8 @@ from rbgroups.errors import (
     NotLatinSquare,
     OrderCapExceeded,
 )
+from rbgroups.enumeration import graph_enumerate
+from rbgroups.extension import word_image, word_pair, word_probe
 from rbgroups.groups import (
     DirectProduct,
     GroupMap,
@@ -53,6 +55,7 @@ from rbgroups.groups import (
     subgroup_generated,
     wreath_product,
 )
+from rbgroups.operators import image, kernel
 
 # a latin square with identity 0 that fails associativity at (1,1,2)
 LOOP5 = [
@@ -315,6 +318,40 @@ def test_subgroup_counts(name, count):
         assert naive_is_subgroup(G, sub.elements)
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "S4"])
+def test_proved_subgroups_are_subgroups(name):
+    # the sweep, generated subgroups, the center, the lower central series
+    # and the kernel and image of every census operator are built without
+    # the subgroup checks; each is a subgroup, with sorted distinct ids
+    G = corpus_group(name)
+    subs = list(all_subgroups(G)) + [center(G)] + lower_central_series(G)
+    subs += [subgroup_generated(G, [g, h]) for g in G.elements() for h in G.elements()
+             if g <= h]
+    for op in graph_enumerate(G).operators:
+        subs += [kernel(op), image(op)]
+    for sub in subs:
+        assert sub.parent is G
+        assert sub.elements == tuple(sorted(set(sub.elements)))
+        assert sub.as_set() == set(sub.elements)
+        assert naive_is_subgroup(G, sub.elements)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G: subgroup_generated(G, [99]),
+    lambda G: subgroup_generated(G, [1, -1]),
+    lambda G: groups.normal_closure(G, 99),
+    lambda G: groups.normal_closure(G, -1),
+    lambda G: word_image(G, [1, 2], [99, 1], ((0, 1),)),
+    lambda G: word_pair(G, [1, 2], [1, 99], ((1, -1),)),
+    lambda G: word_probe(G, [1, 2], [-1, 2], ((0, 1),)),
+    lambda G: word_probe(G, [1, -1], [1, 2], ((0, 1),)),
+], ids=["generated-99", "generated-neg", "normal-closure-99", "normal-closure-neg",
+        "word-image-99", "word-pair-99", "word-probe-neg-image", "word-probe-neg-gen"])
+def test_out_of_range_elements_refused(s3, call):
+    with pytest.raises(InvalidInput, match="out of range"):
+        call(s3)
+
+
 def test_all_subgroups_reach_nonabelian_members():
     # a perfect subgroup is only reachable if closure joins whole
     # subgroups, not single generators
@@ -422,12 +459,18 @@ def test_hom_defect_agrees_with_reference(data):
     assert GroupMap.plain(G, H, images).hom_defect() == want
 
 
-def test_canonical_maps_hom_defect(s3, z4):
+def test_canonical_maps_hom_defect(monkeypatch, s3, z4):
     # the injections and projections of the product in
-    # test_product_numbering, as built and with one image changed
-    prod = DirectProduct((corpus_group("Z2"), s3, z4))
+    # test_product_numbering, as built and with one image changed; they
+    # are homomorphisms by construction, flagged so with no pairwise check
+    calls = {"checked_hom": 0}
+    monkeypatch.setattr(groups, "_checked_hom",
+                        counting(calls, "checked_hom", groups._checked_hom))
+    factors = (corpus_group("Z2"), s3, z4)
+    prod = DirectProduct(factors)
+    assert calls == {"checked_hom": 0}
     for m in prod.injections + prod.projections:
-        assert m.homomorphism
+        assert m.homomorphism and not m.bijective
         assert m.hom_defect() is None
         assert reference_hom_defect(m.domain, m.codomain, m.images) is None
         for g in (1, m.domain.order - 1):
@@ -436,6 +479,18 @@ def test_canonical_maps_hom_defect(s3, z4):
             want = reference_hom_defect(m.domain, m.codomain, images)
             assert want is not None
             assert GroupMap.plain(m.domain, m.codomain, images).hom_defect() == want
+    for i, F in enumerate(factors):
+        for g in F.elements():
+            x = prod.injections[i](g)
+            assert prod.decode(x) == tuple(
+                g if j == i else H.identity for j, H in enumerate(factors))
+            assert prod.projections[i](x) == g
+    # bijective exactly when the other factors are trivial
+    padded = DirectProduct((corpus_group("Z1"), s3, corpus_group("Z1")))
+    for m in padded.injections + padded.projections:
+        assert m.homomorphism and m.bijective == (m.domain.order == m.codomain.order)
+        assert reference_hom_defect(m.domain, m.codomain, m.images) is None
+    assert padded.injections[1].bijective and padded.projections[1].bijective
 
 
 def test_exact_factorizations(s3, z6):

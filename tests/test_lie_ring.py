@@ -1,7 +1,7 @@
 import pytest
 
 from rbgroups.constructions import central_conjugation
-from rbgroups.corpus import corpus_group
+from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import PreconditionFailed
 from rbgroups.lie_ring import (
@@ -118,3 +118,45 @@ def test_verdict_witness_on_forced_map(q8):
                        (tuple([1] * 4), good.layer_maps[1]))
     v = verify_lie_rb(broken)
     assert not v and v.witness is not None
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_bracket_lands_in_its_term_independently(name):
+    # the ring reads each layer bracket at least coset elements; on all
+    # pairs of elements, [x, y] lies in the degree-(i+j) term and its
+    # coset there is the ring's bracket of the two cosets
+    G = corpus_group(name)
+    ring = graded_lie_ring(G)
+    series = ring.series
+    for i, li in enumerate(ring.layers):
+        for j, lj in enumerate(ring.layers):
+            d = li.degree + lj.degree
+            term = series[min(d, len(series)) - 1]
+            target = [k for k, l in enumerate(ring.layers) if l.degree == d]
+            for x in li.projection:
+                v = list(ring.zero())
+                v[i] = li.projection[x]
+                for y in lj.projection:
+                    c = G.comm(x, y)
+                    assert c in term
+                    if not target:
+                        continue
+                    w = list(ring.zero())
+                    w[j] = lj.projection[y]
+                    k = target[0]
+                    assert ring.bracket(v, w)[k] == ring.layers[k].projection[c]
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_induced_maps_constant_on_cosets(name):
+    # each layer map is read at one element per coset; every element of
+    # the term maps to the coset the induced map gives its own coset
+    G = corpus_group(name)
+    ring = graded_lie_ring(G)
+    for op in graph_enumerate(G).operators:
+        if not preserves_lower_central(op):
+            continue
+        ind = induced_rb(ring, op)
+        for layer, m in zip(ring.layers, ind.layer_maps):
+            for x, cx in layer.projection.items():
+                assert layer.projection[op(x)] == m[cx]

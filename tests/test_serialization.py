@@ -3,7 +3,7 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rbgroups.corpus import corpus_group
@@ -289,8 +289,17 @@ def _mangled_docs(draw):
     return doc
 
 
+_Z2 = {"name": "", "kind": "table", "table": [[0, 1], [1, 0]]}
+_Z4 = {"name": "", "kind": "table",
+       "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=st.one_of(_group_docs, _mangled_docs(), _json_values))
+# a trivial group over Z2 wr Z4 (order 64): a base group of 64 digits
+@example(doc={"name": "", "kind": "wreath", "factors": [
+    {"name": "", "kind": "table", "table": [[0]]},
+    {"name": "", "kind": "wreath", "factors": [_Z2, _Z4]}]})
 def test_parse_group_returns_group_or_refuses(doc):
     try:
         with mock.patch.dict(os.environ, {"RBG_ORDER_CAP": str(PARSE_CAP)}):
