@@ -311,6 +311,10 @@ def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
         raise InvalidInput(f"variant must be 'plain' or 'tilde', got {variant!r}")
     if n < 1:
         raise InvalidInput("cascade needs n >= 1")
+    if prod is None:
+        # built before the n x n matrix, so its limit on the number of
+        # factors refuses a huge n first
+        prod = direct_power(G, n)
     if variant == "plain":
         r = [[int(s < i) for i in range(n)] for s in range(n)]
     else:

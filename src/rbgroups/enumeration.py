@@ -25,10 +25,13 @@ census of operators, with no duplicates on either side.
 Subgroups of G x G are walked through their factor data (projections,
 the two slice kernels, and the identifying isomorphism between the
 quotients), so the product group is never materialized; this keeps A5
-tractable.  G's subgroups are swept once per call: those of a subgroup S
-are the ones inside S, so S's normal subgroups, quotients and coset
-fibers are read off that lattice in G's ids, once, and shared by every
-visit to S; nothing outlives the call.
+tractable.  G's subgroups are swept once per call, by conjugacy classes
+(`all_subgroups`): those of a subgroup S are the ones inside S, so S's
+normal subgroups, quotients and coset fibers are read off that lattice
+in G's ids, once, and shared by every visit to S.  The isomorphisms
+between two quotients are searched once per distinct pair of quotient
+tables and shared by every candidate with that pair.  Nothing outlives
+the call.
 """
 
 from __future__ import annotations
@@ -197,7 +200,10 @@ def graph_enumerate(G: FiniteGroup) -> Census:
 
     G's subgroups are swept once; before the walk, each one's normal
     subgroups, quotients and coset fibers are read off that lattice in
-    G's ids and shared by every visit as A or as C; nothing is kept.
+    G's ids and shared by every visit as A or as C.  The isomorphisms
+    between two quotients depend only on their tables, so they are
+    searched once per pair of tables and walked as image tuples; nothing
+    is kept after the call.
     """
     n = G.order
     e = G.identity
@@ -207,6 +213,7 @@ def graph_enumerate(G: FiniteGroup) -> Census:
         by_order.setdefault(s.order, []).append(s)
     factors = {s.elements: _factor_data(G, s, subs) for s in subs}
 
+    isos: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[RBOperator] = []
     for A in subs:
         for Bn, QA, projA, _ in factors[A.elements]:
@@ -221,14 +228,17 @@ def graph_enumerate(G: FiniteGroup) -> Census:
                 for Dn, QC, projC, fibers in factors[C.elements]:
                     if Dn.order != d_order:
                         continue
+                    key = (QA.table, QC.table)
+                    if key not in isos:
+                        isos[key] = [phi.images for phi in isomorphisms_all(QA, QC)]
                     common = sorted(A.as_set() & C.as_set())
-                    for phi in isomorphisms_all(QA, QC):
-                        if any(x != e and phi(projA[x]) == projC[x]
+                    for phi in isos[key]:
+                        if any(x != e and phi[projA[x]] == projC[x]
                                for x in common):
                             continue
                         found.append(_decode_graph(G, (
                             (x, y) for x in A.elements
-                            for y in fibers[phi(projA[x])])))
+                            for y in fibers[phi[projA[x]]])))
 
     found.sort(key=lambda op: op.images)
     return Census(G, "graph", tuple(found))

@@ -6,8 +6,9 @@ All constructors validate completely (Latin property, identity,
 associativity), so downstream algorithms never re-check the axioms.
 They also refuse, with OrderCapExceeded and before allocating a table,
 any group above `order_cap()` (2048, or the RBG_ORDER_CAP environment
-variable); no other function checks the order, since every group it is
-given has passed the limit.
+variable), and `DirectProduct` refuses more factors than that limit;
+no other function checks the order, since every group it is given has
+passed the limit.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
 fixed order: ragged rows and out-of-range entries, every row a
@@ -695,34 +696,50 @@ def _closure(table: Sequence[Sequence[int]], identity: int,
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, element tuple).
 
-    Starts from the cyclic subgroups and repeatedly joins known subgroups
-    with single outside elements until no new subgroup appears.  Every
-    subgroup is a join of cyclic subgroups, so the sweep is complete; in
-    particular perfect subgroups are found, which a cyclic-extension-only
-    sweep would miss.
+    A sweep by conjugacy classes.  One generator is kept per cyclic
+    subgroup.  A queue holds one representative R of each class found,
+    starting from the trivial subgroup, and R is joined with every cyclic
+    subgroup not in R, closing from R's generators and the cyclic one's.
+    A join not seen before is a new class: all its conjugates go into
+    `seen` and it joins the queue as the class's representative.
+
+    Why the sweep is complete.  Every subgroup K above the trivial one is
+    <K', c> for a proper subgroup K' (a maximal one) and any c in K
+    outside K'.  Suppose K' is seen, so K' = R^x = x^-1 R x for a
+    representative R.  Conjugation by x^-1 is an automorphism, so
+    <R, c^(x^-1)> = K^(x^-1) with c^(x^-1) = x c x^-1 outside R; the
+    cyclic subgroup it generates is joined with R, so K^(x^-1) is seen,
+    and with it its whole class, K included.  By induction on the order,
+    every subgroup is seen; perfect subgroups are found too, which a
+    cyclic-extension-only sweep would miss.
     """
-    seen: dict[frozenset[int], tuple[int, ...]] = {}
+    t, e, inv = G.table, G.identity, G.inverses
+    cyclic: dict[frozenset[int], int] = {}
+    for g in G.elements():
+        cyclic.setdefault(_closure(t, e, (g,)), g)
+    seen: set[frozenset[int]] = set()
     queue: list[tuple[frozenset[int], tuple[int, ...]]] = []
 
-    def add(elems: frozenset[int], gens: tuple[int, ...]) -> None:
-        if elems not in seen:
-            seen[elems] = gens
-            queue.append((elems, gens))
+    def add_class(elems: frozenset[int], gens: tuple[int, ...]) -> None:
+        # x K x^-1 depends only on the coset xK: one conjugation per coset
+        covered: set[int] = set()
+        for x in G.elements():
+            if x not in covered:
+                row, xi = t[x], inv[x]
+                covered.update(row[k] for k in elems)
+                seen.add(frozenset(t[row[k]][xi] for k in elems))
+        queue.append((elems, gens))
 
-    add(frozenset({G.identity}), ())
-    for g in G.elements():
-        add(_closure(G.table, G.identity, (g,)), (g,))
-
+    add_class(frozenset({e}), ())
     i = 0
     while i < len(queue):
         elems, gens = queue[i]
         i += 1
-        if len(elems) == G.order:
-            continue
-        for g in G.elements():
-            if g not in elems:
-                bigger = _closure(G.table, G.identity, gens + (g,))
-                add(bigger, gens + (g,))
+        for c in cyclic.values():
+            if c not in elems:
+                bigger = _closure(t, e, gens + (c,))
+                if bigger not in seen:
+                    add_class(bigger, gens + (c,))
 
     subs = [Subgroup._proved(G, elems) for elems in seen]
     subs.sort(key=lambda s: (s.order, s.elements))
@@ -746,6 +763,12 @@ def is_normal(S: Subgroup) -> bool:
     return all(G.conj(s, g) in S for g in G.elements() for s in S.elements)
 
 
+def _require_subgroups_of(G: FiniteGroup, subs: Iterable[Subgroup]) -> None:
+    """Refuse, with InvalidInput, any subgroup whose parent is not G."""
+    if any(S.parent is not G for S in subs):
+        raise InvalidInput("subgroup belongs to a different group")
+
+
 def _is_normal_within(G: FiniteGroup, inner: Subgroup, outer: Subgroup) -> bool:
     """Whether `inner` is a normal subgroup of `outer` (both inside G)."""
     return all(G.conj(s, g) in inner for g in outer.elements for s in inner.elements)
@@ -761,6 +784,7 @@ def normal_closure(G: FiniteGroup, g: int) -> Subgroup:
 def commutator_subgroup(G: FiniteGroup, A: Optional[Subgroup] = None,
                         B: Optional[Subgroup] = None) -> Subgroup:
     """Subgroup generated by all commutators [a, b], a in A, b in B."""
+    _require_subgroups_of(G, (S for S in (A, B) if S is not None))
     a_elems = A.elements if A is not None else tuple(G.elements())
     b_elems = B.elements if B is not None else tuple(G.elements())
     gens = sorted({G.comm(a, b) for a in a_elems for b in b_elems})
@@ -788,8 +812,7 @@ def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """The quotient G/N with its projection; N must be normal.  The
     projection is a homomorphism by construction and is not re-checked."""
-    if N.parent is not G:
-        raise InvalidInput("subgroup belongs to a different group")
+    _require_subgroups_of(G, (N,))
     if not is_normal(N):
         raise NotNormal(f"subgroup {N.elements} is not normal")
     Q, coset = _coset_quotient(G, G.elements(), N, f"{G.name}/N" if G.name else "")
@@ -862,6 +885,9 @@ class DirectProduct:
     """A direct product with componentwise coding and the canonical maps."""
 
     def __init__(self, factors: Sequence[FiniteGroup], name: str = ""):
+        # a trivial factor leaves the order alone, so the count of factors
+        # needs its own bound: each one costs a coordinate per element
+        _require_order(len(factors), f"a product of {len(factors)} factors")
         orders = [F.order for F in factors]
         total = 1
         for o in orders:
@@ -1137,6 +1163,8 @@ def exact_factorizations(
 
     For finite groups this forces HL = G with unique expression g = h l.
     """
+    if subgroups is not None:
+        _require_subgroups_of(G, subgroups)
     subs = subgroups if subgroups is not None else all_subgroups(G)
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:

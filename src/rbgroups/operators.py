@@ -6,22 +6,23 @@ weight -1 it means C(g)C(h) = C(C(g)hC(g)^-1 g).
 
 Check policy, for the whole library.  Input from outside is validated;
 what a theorem or a closure proves is built unchecked, and the tests
-check each such fact on its own.  `verify`, the one full check, walks
-all |G|^2 pairs, caches its verdict and only decides validity; it runs
-on operators from outside, on census and extension-search results and,
-through `_wrap_valid`, on construction results.  Built unchecked: the
-results of the transports `tilde`, `conjugate`, `weight_convert` and
-`inverse_argument_convert` (through `_proved`); the subgroups of
-`Subgroup._proved` (the subgroup sweep, `subgroup_generated` once its
-generators are in range, `center`, the lower central series, `kernel`
-and `image`); the canonical maps of `DirectProduct` and `quotient` and a
-closure group's image map, flagged as homomorphisms; the Lie-ring
-bracket and layer maps, read at one coset representative by the two
-theorems `lie_ring` states.  `is_splitting`, `bplus`, the twisted group
-in `derived`, the splitting report in `enumeration`, the decoded
-extension in `extension` and the constructions trust their theorems.
-The public `Subgroup` and `GroupMap.hom` check in full, as do the group
-table constructors.
+check each such fact on its own.  `verify`, the one full check, decides
+validity from at most ceil(log2 |G|) columns of the identity, scans all
+|G|^2 pairs only to name the witness of an invalid map, and caches its
+verdict; it runs on operators from outside, on census and
+extension-search results and, through `_wrap_valid`, on construction
+results.  Built unchecked: the results of the transports `tilde`,
+`conjugate`, `weight_convert` and `inverse_argument_convert` (through
+`_proved`); the subgroups of `Subgroup._proved` (the subgroup sweep,
+`subgroup_generated` once its generators are in range, `center`, the
+lower central series, `kernel` and `image`); the canonical maps of
+`DirectProduct` and `quotient` and a closure group's image map, flagged
+as homomorphisms; the Lie-ring bracket and layer maps, read at one coset
+representative by the two theorems `lie_ring` states.  `is_splitting`,
+`bplus`, the twisted group in `derived`, the splitting report in
+`enumeration`, the decoded extension in `extension` and the
+constructions trust their theorems.  The public `Subgroup` and
+`GroupMap.hom` check in full, as do the group table constructors.
 """
 
 from __future__ import annotations
@@ -129,22 +130,89 @@ def _first_defect(op: RBOperator) -> Optional[tuple[int, int]]:
     return None
 
 
-def verify(op: RBOperator) -> Verdict:
-    """Decide validity over all pairs; caches the result on the operator.
+def _column_holds(t, B, pre, post, h: int) -> bool:
+    """Column h of the weight +1 identity: B(g)B(h) = B(gB(g) h B(g)^-1)
+    for every g, where pre[g] is the table row of gB(g) and post[g] is
+    B(g)^-1."""
+    bh = B[h]
+    return [t[bg][bh] for bg in B] == [B[t[p[h]][q]] for p, q in zip(pre, post)]
 
-    The witness, when invalid, is the lexicographically first failing
-    (g, h).
+
+def _decide(op: RBOperator) -> bool:
+    """Whether the operator is valid, from at most ceil(log2 |G|) columns.
+
+    At weight +1, let p(g) = (gB(g), B(g)) and H = {p(g)} in G x G; g is
+    x y^-1 for (x, y) = p(g), so |H| = |G| and (x, y) is in H iff
+    B(x y^-1) = y.  The pair product p(g)p(h) is (x, B(g)B(h)) with
+    x y^-1 = g.h, the twisted product gB(g)hB(g)^-1, so it lies in H iff
+    B(g.h) = B(g)B(h): column h holds for all g iff H p(h) lies in H, and
+    then H p(h) = H, since right multiplication is injective and H is
+    finite.  The z with Hz = H form a group M; with B(e) = e, p(e) is the
+    identity pair, so M lies in H.  Once column h is checked p(h) is in
+    M, and p(g)p(h) = p(g.h) for every g, so closing {e} under g -> g.h
+    over the checked h gives exactly the g with p(g) in the group they
+    generate.  The columns are taken in id order, each h the closure has
+    not reached; when it reaches G, M = H is a subgroup of order |G|
+    meeting the diagonal only in p(e), and B is valid by the
+    correspondence in the `enumeration` docstring.  Each column passed
+    adds an element outside a subgroup of M and so at least doubles it:
+    at most ceil(log2 |G|) columns, O(|G| log |G|) reads in all.  A
+    failed column is a failing pair, and B(e) != e fails at (e, e).
+
+    At weight -1, C is valid iff B(g) = g^-1 C(g) is valid at weight +1:
+    substituting C(g) = gB(g), the weight -1 identity at (g, h) becomes
+    the weight +1 identity for B at (g, h).
+    """
+    G = op.group
+    t, inv, e = G.table, G.inverses, G.identity
+    B = op.images
+    if op.weight == -1:
+        B = [t[inv[g]][c] for g, c in enumerate(B)]
+    if B[e] != e:
+        return False
+    pre = [t[t[g][b]] for g, b in enumerate(B)]
+    post = [inv[b] for b in B]
+    reached = {e}
+    gens: list[int] = []
+    for h in G.elements():
+        if h in reached:
+            continue
+        if not _column_holds(t, B, pre, post, h):
+            return False
+        gens.append(h)
+        # the new closure is a union of cosets R.z of the old one R, one
+        # per new z: every reached z has p(z) in M, so column z holds and
+        # r -> r.z maps R onto its coset
+        old = list(reached)
+        reps = [e]
+        for y in reps:
+            for s in gens:
+                z = t[pre[y][s]][post[y]]
+                if z not in reached:
+                    reached.update([t[pre[r][z]][post[r]] for r in old])
+                    reps.append(z)
+        if len(reached) == G.order:
+            break
+    return True
+
+
+def verify(op: RBOperator) -> Verdict:
+    """Decide validity; caches the result on the operator.
+
+    The decision reads at most ceil(log2 |G|) columns (`_decide`).  The
+    witness, when invalid, is the lexicographically first failing
+    (g, h), found by scanning the pairs in order.
     """
     if op.verified is True:
         return Verdict(True)
     if op.verified is not None:
         return Verdict(False, op.verified)
+    if _decide(op):
+        op.verified = True
+        return Verdict(True)
     w = _first_defect(op)
-    if w is not None:
-        op.verified = w
-        return Verdict(False, w)
-    op.verified = True
-    return Verdict(True)
+    op.verified = w
+    return Verdict(False, w)
 
 
 def _require_valid(op: RBOperator) -> None:

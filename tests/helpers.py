@@ -50,6 +50,50 @@ def naive_is_subgroup(G, elems):
     )
 
 
+def reference_subgroups(G):
+    """Every subgroup as a sorted element tuple, sorted by (order,
+    elements): each subgroup above the trivial one is a smaller one with
+    one more element adjoined, so joining every subgroup found with every
+    element outside it, breadth first from the trivial one, finds all.
+    A join is the closure of the identity under right multiplication by
+    the smaller subgroup's generators and the new element."""
+    t, e = G.table, G.identity
+
+    def close(gens):
+        known = {e}
+        frontier = [e]
+        while frontier:
+            frontier = [t[x][g] for x in frontier for g in gens]
+            frontier = [y for y in set(frontier) if y not in known]
+            known.update(frontier)
+        return frozenset(known)
+
+    gens_of = {frozenset([e]): ()}
+    frontier = [frozenset([e])]
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for g in G.elements():
+                if g not in S:
+                    gens = gens_of[S] + (g,)
+                    K = close(gens)
+                    if K not in gens_of:
+                        gens_of[K] = gens
+                        nxt.append(K)
+        frontier = nxt
+    return sorted((tuple(sorted(K)) for K in gens_of), key=lambda k: (len(k), k))
+
+
+def relabel(G, perm):
+    """The table of G with each element g renamed perm[g]."""
+    n = G.order
+    table = [[0] * n for _ in range(n)]
+    for a in G.elements():
+        for b in G.elements():
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return table
+
+
 def random_images(G, rng, fix_identity=True):
     imgs = [rng.randrange(G.order) for _ in range(G.order)]
     if fix_identity:
@@ -165,6 +209,23 @@ def reference_twisted_table(G, images):
     B = list(images)
     return [[t[t[t[g][B[g]]][h]][inv[B[g]]] for h in G.elements()]
             for g in G.elements()]
+
+
+def reference_greedy_columns(G, images):
+    """For a valid operator: each h, in id order, outside the subgroup of
+    its twisted group generated by the h listed before it."""
+    tw = reference_twisted_table(G, images)
+    cols, reached = [], {G.identity}
+    for h in G.elements():
+        if h in reached:
+            continue
+        cols.append(h)
+        frontier = [G.identity]
+        while frontier:
+            new = {tw[x][c] for x in frontier for c in cols} - reached
+            reached |= new
+            frontier = list(new)
+    return cols
 
 
 def reference_splitting_facts(G, images):

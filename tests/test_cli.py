@@ -192,6 +192,16 @@ def test_order_cap_bounds_constructed_groups(monkeypatch, capsys):
     assert json.loads(out)["error"] == "OrderCapExceeded"
 
 
+def test_order_cap_bounds_factor_count(capsys):
+    # Z1^100000 has order 1, but its 100000 factors exceed the limit: the
+    # refusal comes before any table or matrix is built
+    code, out, err = run(capsys, "construct", "--corpus", "Z1",
+                         "--family", "cascade", "--n", "100000")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "OrderCapExceeded",
+                               "message": "a product of 100000 factors exceeds cap 2048"}
+
+
 def test_bad_order_cap_is_malformed_input(monkeypatch, capsys):
     monkeypatch.setenv("RBG_ORDER_CAP", "abc")
     code, out, err = run(capsys, "enumerate", "--corpus", "S3")

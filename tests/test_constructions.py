@@ -284,15 +284,18 @@ def test_cascade_plain(s3):
 
 
 def test_cascade_verifies_once(s3, monkeypatch):
-    # only the requested variant is built and checked
+    # only the requested variant is built and checked: one verify
+    # decision, and no scan for a witness, since the operator is valid
     prod = direct_power(s3, 2)
-    calls = {"defect": 0}
+    calls = {"decide": 0, "defect": 0}
+    monkeypatch.setattr(operators, "_decide",
+                        counting(calls, "decide", operators._decide))
     monkeypatch.setattr(operators, "_first_defect",
                         counting(calls, "defect", operators._first_defect))
     for variant in ("plain", "tilde"):
-        calls["defect"] = 0
+        calls.update(decide=0, defect=0)
         cascade_rb(s3, 2, variant, prod=prod)
-        assert calls == {"defect": 1}
+        assert calls == {"decide": 1, "defect": 0}
 
 
 def test_cascade_components(s3):

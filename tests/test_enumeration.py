@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import counting, exhaustive_census, reference_orbits
+from helpers import counting, exhaustive_census, reference_orbits, relabel
 from rbgroups import enumeration, groups, operators
-from rbgroups.corpus import corpus_group, corpus_names
+from rbgroups.corpus import corpus_group, corpus_names, symmetric
 from rbgroups.enumeration import (
     DEFAULT_BRUTE_CAP,
     SimpleCheck,
@@ -18,7 +18,13 @@ from rbgroups.enumeration import (
     splitting_report,
 )
 from rbgroups.errors import InvalidInput, OrderCapExceeded
-from rbgroups.groups import all_subgroups, automorphisms, exact_factorizations, is_normal
+from rbgroups.groups import (
+    all_subgroups,
+    automorphisms,
+    exact_factorizations,
+    from_cayley_table,
+    is_normal,
+)
 from rbgroups.operators import elementary, rb_operator, weight_convert
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -46,6 +52,40 @@ def test_golden_census_files(s3, z4):
         z4_golden = json.load(fh)
     got = sorted(graph_enumerate(z4).image_tuples())
     assert got == [tuple(x) for x in z4_golden["operators"]]
+
+
+def test_s5_census():
+    # 652 operators in 9 classes; the 322 splitting ones match the ordered
+    # exact factorizations one for one
+    G = symmetric(5)
+    census = classify(graph_enumerate(G))
+    report = splitting_report(census)
+    assert (len(census), len(census.classes), len(report.splitting)) == (652, 9, 322)
+    pairs = {(H.elements, L.elements) for H, L in exact_factorizations(G)}
+    assert set(report.splitting.values()) == pairs
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_census_follows_renumbering(rng, name):
+    # the sweep, the coset numbering, the isomorphism memo and the greedy
+    # generators all read element ids; renaming the elements at random
+    # renames the subgroups and the census, and nothing else
+    G = corpus_group(name)
+    perm = list(G.elements())
+    rng.shuffle(perm)
+    H = from_cayley_table(relabel(G, perm))
+    assert [s.elements for s in all_subgroups(H)] == sorted(
+        (tuple(sorted(perm[g] for g in s)) for s in all_subgroups(G)),
+        key=lambda k: (len(k), k))
+    expected = []
+    for images in graph_enumerate(G).image_tuples():
+        renamed = [0] * G.order
+        for g, b in enumerate(images):
+            renamed[perm[g]] = perm[b]
+        expected.append(tuple(renamed))
+    census = classify(graph_enumerate(H))
+    assert census.image_tuples() == sorted(expected)
+    assert len(census.classes) == len(classify(graph_enumerate(G)).classes)
 
 
 def test_brute_equals_graph():
@@ -213,14 +253,18 @@ def test_census_contains_elementaries(d4):
     assert elementary(d4, "b_minus1").images in images
 
 
-@pytest.mark.parametrize(
-    "name, size, n_pairs, n_closures",
-    [("S4", 100, 93, 852), ("Heis3", 810, 58, 920), ("A5", 62, 153, 3402)],
-)
+@pytest.mark.parametrize("name, size, n_pairs, n_closures, n_isos", [
+    ("S3", 8, 12, 31, 3), ("D4", 56, 30, 76, 6), ("Q8", 8, 18, 45, 5),
+    ("Z2xZ2xZ2", 512, 66, 164, 4), ("A4", 18, 23, 58, 3), ("D6", 80, 49, 142, 11),
+    ("S4", 100, 93, 257, 6), ("Heis3", 810, 58, 205, 8), ("A5", 62, 153, 411, 2),
+])
 def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
-                                              n_closures):
-    # one subgroup sweep of G, and one quotient per (subgroup, normal
-    # subgroup) pair, counted independently on each subgroup repacked
+                                              n_closures, n_isos):
+    # one subgroup sweep of G, one quotient per (subgroup, normal
+    # subgroup) pair, counted independently on each subgroup repacked,
+    # and one isomorphism search per distinct pair of quotient tables:
+    # 48 over these nine groups, where a search per candidate pair of
+    # quotients made 1937
     G = corpus_group(name)
     subs = all_subgroups(G)
     pairs = sum(
@@ -229,8 +273,14 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
     )
     sweeps = []
     quotients = []
+    searched = []
     calls = {"closures": 0}
     real_sweep, real_quotient = enumeration.all_subgroups, enumeration._coset_quotient
+    real_isos = enumeration.isomorphisms_all
+
+    def counting_isos(QA, QC):
+        searched.append((QA.table, QC.table))
+        return real_isos(QA, QC)
 
     def counting_sweep(H, *args, **kwargs):
         sweeps.append(H)
@@ -242,12 +292,14 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
 
     monkeypatch.setattr(enumeration, "all_subgroups", counting_sweep)
     monkeypatch.setattr(enumeration, "_coset_quotient", counting_quotient)
+    monkeypatch.setattr(enumeration, "isomorphisms_all", counting_isos)
     monkeypatch.setattr(groups, "_closure",
                         counting(calls, "closures", groups._closure))
     census = graph_enumerate(G)
     assert len(census) == size
     assert sweeps == [G]
     assert len(quotients) == len(set(quotients)) == pairs == n_pairs
+    assert len(searched) == len(set(searched)) == n_isos
     assert calls == {"closures": n_closures}
 
 

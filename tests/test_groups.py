@@ -13,6 +13,7 @@ from helpers import (
     naive_is_subgroup,
     reference_group_axioms,
     reference_hom_defect,
+    reference_subgroups,
 )
 import rbgroups
 from rbgroups import corpus, groups
@@ -360,6 +361,27 @@ def test_all_subgroups_reach_nonabelian_members():
     assert len(a4_like) == 5
 
 
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "S5"])
+def test_all_subgroups_match_reference(name):
+    # the class sweep returns the same sorted list as a plain join sweep
+    G = corpus.symmetric(5) if name == "S5" else corpus_group(name)
+    assert [s.elements for s in all_subgroups(G)] == reference_subgroups(G)
+
+
+def test_subgroup_functions_refuse_foreign_subgroups():
+    # a subgroup of A4 is not a subgroup of S3, even where its ids fit
+    s3, a4 = corpus_group("S3"), corpus_group("A4")
+    foreign = all_subgroups(a4)
+    with pytest.raises(InvalidInput):
+        commutator_subgroup(s3, foreign[-1])
+    with pytest.raises(InvalidInput):
+        commutator_subgroup(s3, None, foreign[1])
+    with pytest.raises(InvalidInput):
+        exact_factorizations(s3, foreign)
+    assert commutator_subgroup(s3, all_subgroups(s3)[-1]).order == 3
+    assert len(exact_factorizations(s3, all_subgroups(s3))) == 8
+
+
 def test_normality(s3):
     assert is_normal(subgroup_generated(s3, [3]))
     assert not is_normal(subgroup_generated(s3, [1]))
@@ -608,6 +630,21 @@ def test_order_cap_refuses_products_before_building(monkeypatch):
     with pytest.raises(OrderCapExceeded):
         wreath_product(z2, z2)
     assert calls == {"automorphism": 0, "table": 0}
+
+
+def test_order_cap_bounds_factor_count(monkeypatch):
+    # trivial factors leave the order alone; the count of factors is
+    # bounded by the same limit, before any table is built
+    calls = {"table": 0}
+    monkeypatch.setattr(groups, "from_cayley_table",
+                        counting(calls, "table", groups.from_cayley_table))
+    z1 = corpus_group("Z1")
+    monkeypatch.setenv("RBG_ORDER_CAP", "10")
+    assert direct_power(z1, 10).group.order == 1
+    calls["table"] = 0
+    with pytest.raises(OrderCapExceeded):
+        direct_power(z1, 11)
+    assert calls == {"table": 0}
 
 
 def test_no_cap_parameter():

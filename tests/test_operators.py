@@ -1,10 +1,18 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_images, reference_splitting_facts, reference_verify
+from helpers import (
+    counting,
+    random_images,
+    reference_greedy_columns,
+    reference_splitting_facts,
+    reference_verify,
+)
+from rbgroups import operators
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
@@ -224,6 +232,7 @@ def test_deep_values(s3, z4):
 
 
 SMALL_NAMES = [n for n in corpus_names() if corpus_group(n).order <= 12]
+VERIFY_NAMES = SMALL_NAMES + ["S4", "Heis3", "A5"]
 
 
 @functools.cache
@@ -237,21 +246,65 @@ def _census_images(name, weight):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_verify_agrees_with_reference(data):
-    # random maps, census operators at either weight, and census
-    # operators with one entry changed, on corpus groups of order <= 12
-    name = data.draw(st.sampled_from(SMALL_NAMES))
+    # random maps, census operators at either weight, census operators
+    # with one entry changed, and two census operators spliced at a cut,
+    # on corpus groups of order <= 12 and on S4, Heis3 and A5
+    name = data.draw(st.sampled_from(VERIFY_NAMES))
     weight = data.draw(st.sampled_from((1, -1)))
     G = corpus_group(name)
     n = G.order
-    shape = data.draw(st.sampled_from(["random", "census", "mutated"]))
+    shape = data.draw(st.sampled_from(["random", "census", "mutated", "spliced"]))
+    census = st.sampled_from(_census_images(name, weight))
     if shape == "random":
         imgs = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     else:
-        imgs = list(data.draw(st.sampled_from(_census_images(name, weight))))
+        imgs = list(data.draw(census))
         if shape == "mutated":
             imgs[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+        elif shape == "spliced":
+            cut = data.draw(st.integers(0, n))
+            imgs[cut:] = data.draw(census)[cut:]
     v = verify(rb_operator(G, imgs, weight))
     ref = reference_verify(G, imgs, weight)
     event(f"{shape}, {'valid' if ref is None else 'invalid'}")
     assert bool(v) == (ref is None)
     assert v.witness == ref
+
+
+def test_verify_exhaustive_on_s3(s3):
+    # every map fixing the identity, at both weights: a decision read off
+    # too few columns would pass some invalid map here
+    for weight in (1, -1):
+        for rest in itertools.product(s3.elements(), repeat=5):
+            imgs = (0,) + rest
+            v = verify(rb_operator(s3, imgs, weight))
+            ref = reference_verify(s3, imgs, weight)
+            assert bool(v) == (ref is None) and v.witness == ref
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_verify_reads_few_columns(monkeypatch, name):
+    # a valid operator is decided from the columns h, in id order, that
+    # the twisted group's subgroup generated by the earlier ones misses:
+    # at most ceil(log2 n) of them, and no scan of all pairs; at weight -1
+    # they are the columns of the weight +1 operator g -> g^-1 C(g)
+    G = corpus_group(name)
+    bound = (G.order - 1).bit_length()
+    calls = {"scans": 0}
+    columns = []
+    real = operators._column_holds
+
+    def recording(t, B, pre, post, h):
+        columns.append(h)
+        return real(t, B, pre, post, h)
+
+    monkeypatch.setattr(operators, "_column_holds", recording)
+    monkeypatch.setattr(operators, "_first_defect",
+                        counting(calls, "scans", operators._first_defect))
+    for plus, minus in zip(_census_images(name, 1), _census_images(name, -1)):
+        expected = reference_greedy_columns(G, plus)
+        assert len(expected) <= bound
+        for images, weight in ((plus, 1), (minus, -1)):
+            columns.clear()
+            assert verify(rb_operator(G, images, weight))
+            assert columns == expected and calls == {"scans": 0}
