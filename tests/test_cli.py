@@ -192,9 +192,10 @@ def test_order_cap_bounds_constructed_groups(monkeypatch, capsys):
     assert json.loads(out)["error"] == "OrderCapExceeded"
 
 
-def test_order_cap_bounds_factor_count(capsys):
+def test_order_cap_bounds_factor_count(monkeypatch, capsys):
     # Z1^100000 has order 1, but its 100000 factors exceed the limit: the
     # refusal comes before any table or matrix is built
+    monkeypatch.delenv("RBG_ORDER_CAP", raising=False)
     code, out, err = run(capsys, "construct", "--corpus", "Z1",
                          "--family", "cascade", "--n", "100000")
     assert code == 1 and err == ""
