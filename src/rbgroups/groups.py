@@ -1044,76 +1044,130 @@ def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> Iterato
                 return
 
 
-def _extend_partial_hom(G: FiniteGroup, H: FiniteGroup,
-                        gens: Sequence[int],
-                        images: Sequence[int]) -> Optional[dict]:
-    """Extend gen -> image to a homomorphism on <gens>, or None on conflict.
+# The search goes level by level.  Level k stands for the subgroup
+# S_k = <g_1..g_k> of `generating_sequence(G)`, and a row at level k holds
+# the images of S_k's elements under one homomorphism S_k -> H, in the
+# columns `_level_plans` gives them.  A level's plan depends on G alone:
+# the elements of S_k outside S_(k-1) in BFS layers from S_(k-1), each
+# reached from a parent x as x g_j, and every other edge (x, j, x g_j)
+# not checked at an earlier level.  `_level_rows` pairs each surviving
+# row of level k-1 with each candidate image of g_k, a chunk at a time,
+# and `_level_step` fills a layer with one gather f(x g_j) = f(x) f(g_j)
+# and keeps the rows on which every edge holds.  Those are exactly the
+# homomorphisms on S_k extending the rows: a map that respects
+# x -> x g_j for every x in S_k and every generator is multiplicative on
+# S_k.  A bijective search also drops a row that sends a new element to
+# the identity, since a homomorphism is injective exactly when its
+# kernel is trivial.  Rows stay in lexicographic order of the generator
+# images, so the first survivor of the last level is the least such map.
 
-    Every edge (x, x*g) is checked, not just a spanning tree, so a
-    returned map is multiplicative on the generated subgroup.
-    """
-    fmap = {G.identity: H.identity}
+# the rows of one step are cut into chunks of about this many edge cells
+_CHUNK_CELLS = 1 << 14
+
+
+@dataclass(frozen=True)
+class _Level:
+    """How level k extends a row from S_(k-1) to S_k."""
+
+    start: int     # |S_(k-1)|, which is also the column of g_k
+    size: int      # |S_k|
+    layers: tuple[tuple[np.ndarray, np.ndarray, int], ...]  # x, column of g_j, end
+    check: tuple[np.ndarray, np.ndarray, np.ndarray]        # x, column of g_j, x g_j
+    edges: int     # tree and checked edges: the cells one row costs
+
+
+def _level_plans(G: FiniteGroup, gens: Sequence[int]) -> tuple[list[_Level], list[int]]:
+    """The plan of each level, and the column of each element of G."""
+    t = G.table
+    col = {G.identity: 0}
     order = [G.identity]
-    i = 0
-    gt, ht = G.table, H.table
-    while i < len(order):
-        x = order[i]
-        i += 1
-        fx = fmap[x]
-        for g, u in zip(gens, images):
-            y = gt[x][g]
-            fy = ht[fx][u]
-            prev = fmap.get(y)
-            if prev is None:
-                fmap[y] = fy
-                order.append(y)
-            elif prev != fy:
-                return None
-    return fmap
+    gen_cols: list[int] = []
+    plans = []
+    for k in range(len(gens)):
+        start = len(order)
+        gen_cols.append(start)   # the first new element is e g_k
+        frontier, steps = order[:], (k,)
+        layers, checks = [], []
+        while frontier:
+            first, tree = len(order), []
+            for x in frontier:
+                row = t[x]
+                for j in steps:
+                    y = row[gens[j]]
+                    if y in col:
+                        checks.append((col[x], gen_cols[j], col[y]))
+                    else:
+                        col[y] = len(order)
+                        order.append(y)
+                        tree.append((col[x], gen_cols[j]))
+            if tree:
+                xs, gs = np.array(tree, dtype=np.intp).T
+                layers.append((xs, gs, len(order)))
+            frontier, steps = order[first:], range(k + 1)
+        check = np.array(checks, dtype=np.intp).reshape(-1, 3).T
+        plans.append(_Level(start, len(order), tuple(layers), tuple(check),
+                            len(order) - start + len(checks)))
+    return plans, [col[x] for x in G.elements()]
 
 
-def _hom_candidates(G: FiniteGroup, H: FiniteGroup, g: int,
-                    bijective: bool) -> list[int]:
-    og = G.element_order(g)
-    out = []
-    for u in H.elements():
-        ou = H.element_order(u)
-        if (ou == og) if bijective else (og % ou == 0):
-            out.append(u)
-    return out
+def _level_step(level: _Level, H: FiniteGroup, rows: np.ndarray,
+                images: np.ndarray, bijective: bool) -> np.ndarray:
+    """Row i of `rows` (a map on S_(k-1)) with g_k -> images[i], extended
+    to S_k, for each i whose extension is a homomorphism, in order."""
+    h, e = H.order, H.identity
+    ht = H.np_table().ravel()
+    f = np.empty((len(rows), level.size), dtype=np.int32)
+    f[:, :level.start] = rows
+    f[:, level.start] = images
+    a = level.start
+    for xs, gs, b in level.layers:
+        f[:, a:b] = ht[f[:, xs] * h + f[:, gs]]
+        a = b
+    xs, gs, ys = level.check
+    ok = (ht[f[:, xs] * h + f[:, gs]] == f[:, ys]).all(axis=1)
+    if bijective:
+        ok &= (f[:, level.start:] != e).all(axis=1)
+    return f[ok]
+
+
+def _level_rows(levels: list[_Level], cands: list[np.ndarray], H: FiniteGroup,
+                bijective: bool, k: int, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The homomorphisms on G extending `rows` (maps on S_(k-1)), as
+    nonempty blocks of rows in lexicographic order of the generator images."""
+    if k == len(levels):
+        yield rows
+        return
+    level, c = levels[k], cands[k]
+    total = len(rows) * len(c)
+    step = max(1, _CHUNK_CELLS // level.edges)
+    for a in range(0, total, step):
+        i = np.arange(a, min(a + step, total))
+        out = _level_step(level, H, rows[i // len(c)], c[i % len(c)], bijective)
+        if len(out):
+            yield from _level_rows(levels, cands, H, bijective, k + 1, out)
 
 
 def _hom_search(G: FiniteGroup, H: FiniteGroup, bijective: bool,
                 first_only: bool) -> list[GroupMap]:
     gens = generating_sequence(G)
-    if not gens:
-        m = GroupMap(G, H, (H.identity,) * G.order,
-                     homomorphism=True, bijective=G.order == H.order)
-        return [m]
-    cand = [_hom_candidates(G, H, g, bijective) for g in gens]
-    found: list[GroupMap] = []
-
-    def rec(k: int, chosen: list[int]) -> bool:
-        if k == len(gens):
-            fmap = _extend_partial_hom(G, H, gens, chosen)
-            if fmap is None or len(fmap) != G.order:
-                return False
-            images = tuple(fmap[g] for g in G.elements())
-            bij = G.order == H.order and len(set(images)) == H.order
-            if bijective and not bij:
-                return False
-            found.append(GroupMap(G, H, images, homomorphism=True, bijective=bij))
-            return first_only
-        for u in cand[k]:
-            if _extend_partial_hom(G, H, gens[: k + 1], chosen + [u]) is None:
-                continue
-            if rec(k + 1, chosen + [u]):
-                return True
-        return False
-
-    rec(0, [])
-    found.sort(key=lambda m: m.images)
-    return found
+    levels, cols = _level_plans(G, gens)
+    orders = np.array(H.element_orders())
+    cands = []
+    for g in gens:
+        og = G.element_order(g)
+        cands.append(np.flatnonzero(orders == og if bijective else og % orders == 0))
+    blocks = _level_rows(levels, cands, H, bijective, 0,
+                         np.full((1, 1), H.identity, dtype=np.int32))
+    found = list(itertools.islice(blocks, 1) if first_only else blocks)
+    if not found:
+        return []
+    images = np.concatenate(found)[:1 if first_only else None, cols]
+    bij = ((images == H.identity).sum(axis=1) == 1) & (G.order == H.order)
+    # H's identity row holds each id once: gathering from it, the maps
+    # share the table's int objects instead of each making its own
+    ids = np.array(H.table[H.identity], dtype=object)
+    return [GroupMap(G, H, imgs, homomorphism=True, bijective=b)
+            for imgs, b in sorted(zip(map(tuple, ids[images].tolist()), bij.tolist()))]
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupMap]:
@@ -1123,17 +1177,26 @@ def automorphisms(G: FiniteGroup) -> list[GroupMap]:
 
 def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[GroupMap]:
     """All isomorphisms G -> H (empty when none exists)."""
-    if G.order != H.order or _iso_invariants(G) != _iso_invariants(H):
+    if not _may_be_isomorphic(G, H):
         return []
     return _hom_search(G, H, bijective=True, first_only=False)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
-    """An isomorphism G -> H, or None.  Screens cheap invariants first."""
-    if G.order != H.order or _iso_invariants(G) != _iso_invariants(H):
+    """The isomorphism G -> H whose images on `generating_sequence(G)` are
+    lexicographically least, or None."""
+    if not _may_be_isomorphic(G, H):
         return None
     maps = _hom_search(G, H, bijective=True, first_only=True)
     return maps[0] if maps else None
+
+
+def _may_be_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    """False when a cheap invariant tells G and H apart.  Equal tables
+    are isomorphic, and skip the invariants."""
+    if G.table == H.table:
+        return True
+    return G.order == H.order and _iso_invariants(G) == _iso_invariants(H)
 
 
 def _iso_invariants(G: FiniteGroup):

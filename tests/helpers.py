@@ -6,6 +6,8 @@ touching the library's verification or enumeration code paths.
 
 from itertools import product
 
+import numpy as np
+
 
 def reference_verify(G, images, weight=1):
     """Check the defining identity over every pair by direct table walks.
@@ -193,6 +195,16 @@ def reference_hom_defect(G, H, images):
             if images[G.table[a][b]] != H.table[images[a]][images[b]]:
                 return (a, b)
     return None
+
+
+def reference_homomorphisms(G, H):
+    """Every map G -> H with f(ab) = f(a) f(b) on all pairs, in
+    lexicographic order, by filtering all |H|^|G| maps at once."""
+    n = G.order
+    maps = np.indices((H.order,) * n, dtype=np.int32).reshape(n, -1).T
+    gt, ht = np.array(G.table), np.array(H.table)
+    ok = (maps[:, gt] == ht[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    return [tuple(row) for row in maps[ok].tolist()]
 
 
 def counting(calls, key, real):

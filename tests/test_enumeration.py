@@ -253,18 +253,23 @@ def test_census_contains_elementaries(d4):
     assert elementary(d4, "b_minus1").images in images
 
 
-@pytest.mark.parametrize("name, size, n_pairs, n_closures, n_isos", [
-    ("S3", 8, 12, 31, 3), ("D4", 56, 30, 76, 6), ("Q8", 8, 18, 45, 5),
-    ("Z2xZ2xZ2", 512, 66, 164, 4), ("A4", 18, 23, 58, 3), ("D6", 80, 49, 142, 11),
-    ("S4", 100, 93, 257, 6), ("Heis3", 810, 58, 205, 8), ("A5", 62, 153, 411, 2),
-])
+_CENSUS_WORK = [
+    ("S3", 8, 12, 26, 3), ("D4", 56, 30, 70, 6), ("Q8", 8, 18, 40, 5),
+    ("Z2xZ2xZ2", 512, 66, 157, 4), ("A4", 18, 23, 53, 3), ("D6", 80, 49, 134, 11),
+    ("S4", 100, 93, 251, 6), ("Heis3", 810, 58, 199, 8), ("A5", 62, 153, 408, 2),
+]
+
+
+@pytest.mark.parametrize("name, size, n_pairs, n_closures, n_isos", _CENSUS_WORK,
+                         ids=[case[0] for case in _CENSUS_WORK])
 def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
                                               n_closures, n_isos):
     # one subgroup sweep of G, one quotient per (subgroup, normal
     # subgroup) pair, counted independently on each subgroup repacked,
     # and one isomorphism search per distinct pair of quotient tables:
     # 48 over these nine groups, where a search per candidate pair of
-    # quotients made 1937
+    # quotients made 1937.  A pair of equal tables skips the invariant
+    # screen; any other pair screens each of its two groups once.
     G = corpus_group(name)
     subs = all_subgroups(G)
     pairs = sum(
@@ -274,7 +279,7 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
     sweeps = []
     quotients = []
     searched = []
-    calls = {"closures": 0}
+    calls = {"closures": 0, "screens": 0}
     real_sweep, real_quotient = enumeration.all_subgroups, enumeration._coset_quotient
     real_isos = enumeration.isomorphisms_all
 
@@ -295,12 +300,15 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
     monkeypatch.setattr(enumeration, "isomorphisms_all", counting_isos)
     monkeypatch.setattr(groups, "_closure",
                         counting(calls, "closures", groups._closure))
+    monkeypatch.setattr(groups, "_iso_invariants",
+                        counting(calls, "screens", groups._iso_invariants))
     census = graph_enumerate(G)
     assert len(census) == size
     assert sweeps == [G]
     assert len(quotients) == len(set(quotients)) == pairs == n_pairs
     assert len(searched) == len(set(searched)) == n_isos
-    assert calls == {"closures": n_closures}
+    unequal = sum(a != c for a, c in searched)
+    assert calls == {"closures": n_closures, "screens": 2 * unequal}
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,9 @@ from helpers import (
     naive_is_subgroup,
     reference_group_axioms,
     reference_hom_defect,
+    reference_homomorphisms,
     reference_subgroups,
+    relabel,
 )
 import rbgroups
 from rbgroups import corpus, groups
@@ -417,13 +419,26 @@ def test_quotient_projection_is_proved(monkeypatch, name):
 
 @pytest.mark.parametrize("name,count", [
     ("S3", 6), ("Z4", 2), ("Z6", 2), ("Q8", 24), ("D4", 8), ("Z2xZ2", 6),
+    ("Z2xZ2xZ2", 168), ("A4", 24), ("S4", 24), ("D6", 12), ("Heis3", 432),
+    ("A5", 120),
 ])
-def test_automorphism_counts(name, count):
+def test_automorphism_counts(rng, name, count):
     G = corpus_group(name)
     auts = automorphisms(G)
     assert len(auts) == count
     for phi in auts:
         assert phi.homomorphism and phi.bijective
+    # on a renumbered copy the automorphisms are the renumbered ones
+    perm = list(G.elements())
+    rng.shuffle(perm)
+    renamed = []
+    for phi in auts:
+        images = [0] * G.order
+        for g, b in enumerate(phi.images):
+            images[perm[g]] = perm[b]
+        renamed.append(tuple(images))
+    H = from_cayley_table(relabel(G, perm))
+    assert [phi.images for phi in automorphisms(H)] == sorted(renamed)
 
 
 def test_isomorphism_checks(z4, s3):
@@ -436,11 +451,66 @@ def test_isomorphism_checks(z4, s3):
     assert len(isomorphisms_all(s3, s3)) == 6
 
 
+@pytest.mark.parametrize("name", ["D6", "S4", "A5"])
+def test_first_isomorphism_is_least_on_generators(rng, name):
+    # is_isomorphic returns the isomorphism whose images on G's
+    # generating sequence are lexicographically least
+    G = corpus_group(name)
+    if name == "D6":
+        H = direct_product(corpus_group("Z2"), corpus_group("S3")).group
+    else:
+        perm = list(G.elements())
+        rng.shuffle(perm)
+        H = from_cayley_table(relabel(G, perm))
+    gens = generating_sequence(G)
+    isos = isomorphisms_all(G, H)
+    assert len(isos) == len(automorphisms(G))
+    least = min(isos, key=lambda phi: [phi(g) for g in gens])
+    assert is_isomorphic(G, H).images == least.images
+
+
 def test_hom_counts(s3, z6):
     assert len(all_homomorphisms(z6, z6)) == 6
     assert len(all_homomorphisms(s3, corpus_group("Z2"))) == 2
     assert len(all_homomorphisms(corpus_group("Z2"), s3)) == 4
     assert len(all_homomorphisms(s3, corpus_group("Z3"))) == 1
+
+
+def test_homomorphisms_equal_brute_force():
+    # every ordered pair of corpus groups of order 6 or less: the search
+    # against a filter of all |H|^|G| maps
+    tiny = [corpus_group(name) for name in CORPUS_NAMES if corpus_group(name).order <= 6]
+    assert len(tiny) == 8
+    for G in tiny:
+        for H in tiny:
+            homs = all_homomorphisms(G, H)
+            assert [phi.images for phi in homs] == reference_homomorphisms(G, H), (G, H)
+            for phi in homs:
+                bijective = len(set(phi.images)) == H.order == G.order
+                assert phi.homomorphism and phi.bijective == bijective
+
+
+@pytest.mark.parametrize("name, examined, kept", [
+    ("Heis3", [26, 676, 4992], [26, 192, 432]),
+    ("A5", [24, 480], [24, 120]),
+], ids=["Heis3", "A5"])
+def test_automorphism_search_work(monkeypatch, name, examined, kept):
+    # level k crosses the maps that survived level k-1 with the candidate
+    # images of g_k and checks each crossed row once
+    G = corpus_group(name)
+    seen = {}
+    real = groups._level_step
+
+    def counting_step(level, H, rows, images, bijective):
+        out = real(level, H, rows, images, bijective)
+        totals = seen.setdefault(level.start, [0, 0])
+        totals[0] += len(images)
+        totals[1] += len(out)
+        return out
+
+    monkeypatch.setattr(groups, "_level_step", counting_step)
+    assert len(automorphisms(G)) == kept[-1]
+    assert [seen[start] for start in sorted(seen)] == [list(p) for p in zip(examined, kept)]
 
 
 def test_group_map_validation(s3):
