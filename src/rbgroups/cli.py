@@ -64,6 +64,8 @@ def _read_json(path: str):
         raise SchemaViolation(path, f"cannot read: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaViolation(path, f"invalid JSON: {exc}")
+    except RecursionError:
+        raise SchemaViolation(path, "invalid JSON: nested too deeply")
 
 
 def _load_group(args) -> FiniteGroup:

@@ -45,7 +45,7 @@ import random
 
 from .enumeration import _decode_graph
 from .errors import CondFails, InvalidInput
-from .groups import FiniteGroup, GroupMap, from_cayley_table, subgroup_generated
+from .groups import FiniteGroup, GroupMap, subgroup_generated
 from .operators import RBOperator
 
 __all__ = [
@@ -301,9 +301,9 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
 
 def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
     """closure_group's result from a diagonal-free pair closure: the
-    sorted pairs under the coordinatewise product of G x G.  The image
-    map is the second projection of that subgroup of G x G, so it is a
-    homomorphism by construction and is not checked."""
+    sorted pairs under the coordinatewise product of G x G.  The closure
+    is a subgroup of G x G and the image map is its second projection,
+    so neither the table nor the map is checked."""
     t, inv = G.table, G.inverses
     ordered = sorted(pairs)
     index = {p: i for i, p in enumerate(ordered)}
@@ -311,14 +311,13 @@ def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
         [index[(t[x1][x2], t[y1][y2])] for (x2, y2) in ordered]
         for (x1, y1) in ordered
     ]
-    H = from_cayley_table(table, name=f"pair-closure({G.name})")
+    H = FiniteGroup._proved(table, name=f"pair-closure({G.name})")
     ys = tuple(y for _, y in ordered)
     return ClosureGroup(
         group=H,
         pairs=tuple(ordered),
         probe=GroupMap.plain(H, G, [t[x][inv[y]] for x, y in ordered]),
-        image=GroupMap(H, G, ys, homomorphism=True,
-                       bijective=H.order == G.order == len(set(ys))),
+        image=GroupMap._proved(H, G, ys, H.order == G.order == len(set(ys))),
     )
 
 

@@ -1,41 +1,42 @@
 """Finite groups as dense multiplication tables over 0-based element ids.
 
-Every group in this library is a `FiniteGroup`: a fully validated Cayley
-table together with the located identity and the inverse of each element.
-All constructors validate completely (Latin property, identity,
-associativity), so downstream algorithms never re-check the axioms.
-They also refuse, with OrderCapExceeded and before allocating a table,
+Every group in this library is a `FiniteGroup`: a Cayley table together
+with the located identity and the inverse of each element, so downstream
+algorithms never re-check the axioms.  A table from outside (a group
+file, the corpus's literal tables, a caller) goes through
+`from_cayley_table`, which validates it in full.  A table that a theorem
+or a closure proves to be a group is built unchecked by
+`FiniteGroup._proved`: quotients, the direct, semidirect and wreath
+products, repacked subgroups, permutation closures, pair closures and
+twisted groups.  `from_cayley_table`, the products and permutation
+closures refuse, with OrderCapExceeded and before allocating a table,
 any group above `order_cap()` (2048, or the RBG_ORDER_CAP environment
-variable), and `DirectProduct` refuses more factors than that limit;
-no other function checks the order, since every group it is given has
-passed the limit.
+variable), and `DirectProduct` refuses more factors than that limit.
+Every other proved table is no larger than a group that has passed the
+limit, so no other function checks the order.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
 fixed order: ragged rows and out-of-range entries, every row a
 permutation, every column a permutation, a two-sided identity,
 associativity, two-sided inverses.  An outside table is read row by row
-with int() for the first two; an integer array, as the product
-constructors build, is checked as it is.  Above order
-`_LIST_CHECKS_UP_TO` the Latin, associativity and inverse checks are
-array operations on the n x n table; up to it they walk the rows as
-lists, with the same results, because numpy's cost per call outweighs
-the work on small tables.  Once the table is Latin, O(n) reads settle
-the identity.  Associativity is decided exactly by Light's test
-(Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2): it
-compares (x*s)*y with x*(s*y) over all x, y for each s of a generating
-set chosen greedily from the table, at most ceil(log2 n) of them, so it
-costs O(n^2 log n) rather than the O(n^3) of a scan over all triples.
-That scan (`_check_associative`) runs only on a table Light's test has
-rejected, to name the lexicographically first failing triple.
-`GroupMap.hom_defect` checks a homomorphism on all pairs, in one gather
-above the same order.
+with int() for the first two; an integer array is checked as it is.
+The Latin, associativity and inverse checks are array operations on the
+n x n table.  Once the table is Latin, O(n) reads settle the identity.
+Associativity is decided exactly by Light's test (Clifford and Preston,
+The Algebraic Theory of Semigroups I, 1.2): it compares (x*s)*y with
+x*(s*y) over all x, y for each s of a generating set chosen greedily
+from the table, at most ceil(log2 n) of them, so it costs O(n^2 log n)
+rather than the O(n^3) of a scan over all triples.  That scan
+(`_check_associative`) runs only on a table Light's test has rejected,
+to name the lexicographically first failing triple.
+`GroupMap.hom_defect` checks a homomorphism on all pairs in one gather.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -111,9 +112,10 @@ def order_cap() -> int:
 def _require_order(n: int, what: str) -> None:
     """Refuse a group of order n above `order_cap()`, naming it as `what`.
 
-    Every group is built by `from_cayley_table`, `from_permutations` or a
-    product constructor, and each calls this before it allocates anything
-    of size n, so a group that exists has passed the limit.
+    `from_cayley_table`, `from_permutations` and the product constructors
+    call this before they allocate anything of size n; every other group
+    is no larger than one of theirs, so a group that exists has passed
+    the limit.
     """
     cap = order_cap()
     if n > cap:
@@ -124,20 +126,10 @@ def _require_order(n: int, what: str) -> None:
 # table validation
 
 
-# Up to this order the group axioms and homomorphisms are checked by
-# walking lists, above it by array operations.  Both sides give the same
-# results and messages.  On small tables numpy's fixed cost per call
-# outweighs the O(n^2) work, and most tables a census builds (its
-# quotients) have order 4 or less; from about order 16 the arrays are
-# faster.
-_LIST_CHECKS_UP_TO = 16
-
-
-def _table_rows(table) -> tuple[list[list[int]], Optional[np.ndarray]]:
-    """The table as rows of ints after the ragged-row and range checks, and
-    as an n x n integer array when n exceeds _LIST_CHECKS_UP_TO (else
-    None).  An integer ndarray is checked as it is; any other table is
-    read row by row with int()."""
+def _table_rows(table) -> tuple[list[list[int]], np.ndarray]:
+    """The table as rows of ints and as an n x n integer array, after the
+    ragged-row and range checks.  An integer ndarray is checked as it is;
+    any other table is read row by row with int()."""
     n = len(table)
     if n == 0:
         raise NotLatinSquare("empty table")
@@ -147,7 +139,7 @@ def _table_rows(table) -> tuple[list[list[int]], Optional[np.ndarray]]:
         if table.min() < 0 or table.max() >= n:
             i, j = divmod(int(((table < 0) | (table >= n)).argmax()), n)
             raise NotLatinSquare(f"row {i} contains out-of-range entry {table[i, j]}")
-        return table.tolist(), (table if n > _LIST_CHECKS_UP_TO else None)
+        return table.tolist(), table
     rows = []
     for i, row in enumerate(table):
         row = list(map(int, row))
@@ -157,7 +149,7 @@ def _table_rows(table) -> tuple[list[list[int]], Optional[np.ndarray]]:
             x = next(x for x in row if not 0 <= x < n)
             raise NotLatinSquare(f"row {i} contains out-of-range entry {x}")
         rows.append(row)
-    return rows, (np.array(rows, dtype=np.int32) if n > _LIST_CHECKS_UP_TO else None)
+    return rows, np.array(rows, dtype=np.int32)
 
 
 def _validate_table(table) -> tuple[list[list[int]], int, tuple[int, ...]]:
@@ -165,57 +157,46 @@ def _validate_table(table) -> tuple[list[list[int]], int, tuple[int, ...]]:
     rows being the table as lists of ints."""
     rows, t = _table_rows(table)
     n = len(rows)
-    full = list(range(n))
-    if t is None:
-        columns = list(zip(*rows))
-        for kind, lines in (("row", rows), ("column", columns)):
-            for i, line in enumerate(lines):
-                if sorted(line) != full:
-                    raise NotLatinSquare(f"{kind} {i} is not a permutation of 0..{n - 1}")
-    else:
-        # where[0, i, v] is the column of v in row i, where[1, j, v] the row
-        # of v in column j, and -1 where the row or column lacks v
-        idx = np.arange(n)
-        where = np.full((2, n, n), -1, dtype=np.int32)
-        where[0, idx[:, None], t] = idx
-        where[1, idx, t] = idx[:, None]
-        latin = (where >= 0).all(axis=2)
-        if not latin.all():
-            which, i = divmod(int(latin.argmin()), n)
-            kind = ("row", "column")[which]
-            raise NotLatinSquare(f"{kind} {i} is not a permutation of 0..{n - 1}")
+    # where[0, i, v] is the column of v in row i, where[1, j, v] the row
+    # of v in column j, and -1 where the row or column lacks v
+    idx = np.arange(n)
+    where = np.full((2, n, n), -1, dtype=np.int32)
+    where[0, idx[:, None], t] = idx
+    where[1, idx, t] = idx[:, None]
+    latin = (where >= 0).all(axis=2)
+    if not latin.all():
+        which, i = divmod(int(latin.argmin()), n)
+        kind = ("row", "column")[which]
+        raise NotLatinSquare(f"{kind} {i} is not a permutation of 0..{n - 1}")
 
     # column 0 is a permutation, so only one row e has e*0 = 0, and only
     # that row can be the identity's: O(n) reads decide the identity
     identity = [row[0] for row in rows].index(0)
+    full = list(range(n))
     if rows[identity] != full or [row[identity] for row in rows] != full:
         raise NoIdentity("no two-sided identity element")
 
     _check_light(rows, t, identity)
 
     # g*x = e for x = right[g], and y*g = e for y = left[g]
-    if t is None:
-        right = [row.index(identity) for row in rows]
-        left = [col.index(identity) for col in columns]
-    else:
-        right = where[0, :, identity].tolist()
-        left = where[1, :, identity].tolist()
+    right = where[0, :, identity].tolist()
+    left = where[1, :, identity].tolist()
     for g in range(n):
         if right[g] != left[g]:
             raise NotAssociative(f"one-sided inverse at element {g}")
     return rows, identity, tuple(right)
 
 
-def _check_light(rows: list[list[int]], t: Optional[np.ndarray], identity: int) -> None:
-    """Decide associativity of a Latin table with identity by Light's test,
-    on the rows, or on the array t when there is one.
+def _check_light(rows: list[list[int]], t: np.ndarray, identity: int) -> None:
+    """Decide associativity of a Latin table with identity by Light's test;
+    `rows` and `t` are the same table as lists and as an array.
 
     Let A be the set of elements a with (xa)y = x(ay) for all x, y.  A
     holds the identity and is closed under the product: for a, b in A,
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  The test
     checks that every generator s of `_greedy_generators` is in A,
-    comparing (x*s)*y with x*(s*y) over all x, y: row by row, or as the
-    arrays t[t[:, s]] and t[:, t[s]].  Then A holds every left-normed
+    comparing the arrays t[t[:, s]] and t[:, t[s]], whose cells are
+    (x*s)*y and x*(s*y) over all x, y.  Then A holds every left-normed
     word in the generators, and those words are exactly what closing
     the identity under right multiplication reaches: every element.  So
     A is everything and the table is associative.
@@ -228,13 +209,8 @@ def _check_light(rows: list[list[int]], t: Optional[np.ndarray], identity: int) 
     names the first failing triple.
     """
     for s in _greedy_generators(rows, identity):
-        if t is None:
-            rs = rows[s]
-            holds = all(rows[rx[s]] == [rx[v] for v in rs] for rx in rows)
-        else:
-            holds = (t[t[:, s]] == t[:, t[s]]).all()
-        if not holds:
-            _check_associative(np.array(rows) if t is None else t)
+        if not (t[t[:, s]] == t[:, t[s]]).all():
+            _check_associative(t)
 
 
 def _check_associative(t: np.ndarray) -> None:
@@ -253,7 +229,8 @@ class FiniteGroup:
 
     Instances are immutable after construction and safe to share.  Build
     them with `from_cayley_table`, `from_permutations` or one of the
-    product constructors rather than calling __init__ on raw data.
+    product constructors rather than calling __init__ on raw data;
+    `_proved` builds a table a theorem or a closure proves, unchecked.
     """
 
     __slots__ = (
@@ -289,6 +266,16 @@ class FiniteGroup:
         self._abelian = None
         self._center = None
         self._derived = None
+
+    @classmethod
+    def _proved(cls, table, name: str = "",
+                labels: Optional[Sequence[str]] = None) -> "FiniteGroup":
+        """A table proved a group by a theorem or a closure, as rows or an
+        integer array: the identity is the one row e with e*0 = 0, and
+        each inverse is read off its row.  Nothing is checked."""
+        rows = table.tolist() if isinstance(table, np.ndarray) else table
+        e = [row[0] for row in rows].index(0)
+        return cls(rows, e, [row.index(e) for row in rows], name=name, labels=labels)
 
     def __repr__(self):
         tag = self.name or "unnamed"
@@ -414,7 +401,8 @@ def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     Permutations are tuples p with p[i] = image of i; composition applies
     the right factor first.  Elements are ordered by breadth-first
     discovery from the identity, so the ordering is deterministic in the
-    generator order.
+    generator order.  The generators are checked; their closure under
+    composition is a group, built unchecked.
     """
     if not gens:
         raise InvalidInput("need at least one permutation")
@@ -448,8 +436,7 @@ def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGr
         for j, q in enumerate(elems):
             table[i][j] = index[tuple(p[q[x]] for x in range(k))]
     labels = [_perm_cycles(p) for p in elems]
-    rows, identity, inverses = _validate_table(table)
-    return FiniteGroup(rows, identity, inverses, name=name, labels=labels)
+    return FiniteGroup._proved(table, name=name, labels=labels)
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
@@ -477,6 +464,16 @@ class GroupMap:
         if len(self.images) != self.domain.order:
             raise InvalidInput("image list length does not match the domain")
         self.codomain.check_elements(self.images)
+
+    @classmethod
+    def _proved(cls, domain: FiniteGroup, codomain: FiniteGroup,
+                images: tuple[int, ...], bijective: bool) -> "GroupMap":
+        """A homomorphism proved by a theorem or a search, its images read
+        off the tables of `codomain`: no range check."""
+        out = object.__new__(cls)
+        out.__dict__.update(domain=domain, codomain=codomain, images=images,
+                            homomorphism=True, bijective=bijective)
+        return out
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -511,21 +508,9 @@ class GroupMap:
         return m
 
     def hom_defect(self) -> Optional[tuple[int, int]]:
-        """First pair in row-major order where f(ab) != f(a)f(b), or None.
-
-        A domain up to order _LIST_CHECKS_UP_TO is walked pair by pair; a
-        larger one takes one gather over the two tables as arrays.
-        """
-        f = self.images
-        if self.domain.order <= _LIST_CHECKS_UP_TO:
-            dt, ct = self.domain.table, self.codomain.table
-            for a in self.domain.elements():
-                fa = f[a]
-                for b in self.domain.elements():
-                    if f[dt[a][b]] != ct[fa][f[b]]:
-                        return (a, b)
-            return None
-        fs = np.array(f, dtype=np.int32)
+        """First pair in row-major order where f(ab) != f(a)f(b), or None,
+        from one gather over the two tables as arrays."""
+        fs = np.array(self.images, dtype=np.int32)
         bad = fs[self.domain.np_table()] != self.codomain.np_table()[fs[:, None], fs]
         if not bad.any():
             return None
@@ -663,7 +648,7 @@ class Subgroup:
                 for a in to_parent
             ]
             labels = [self.parent.label(g) for g in to_parent]
-            grp = from_cayley_table(table, labels=labels)
+            grp = FiniteGroup._proved(table, labels=labels)
             self._packed = PackedSubgroup(grp, to_parent, from_parent)
         return self._packed
 
@@ -811,14 +796,13 @@ def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """The quotient G/N with its projection; N must be normal.  The
-    projection is a homomorphism by construction and is not re-checked."""
+    quotient is a group and the projection a homomorphism by
+    construction, so neither is checked."""
     _require_subgroups_of(G, (N,))
     if not is_normal(N):
         raise NotNormal(f"subgroup {N.elements} is not normal")
     Q, coset = _coset_quotient(G, G.elements(), N, f"{G.name}/N" if G.name else "")
-    proj = GroupMap(G, Q, tuple(coset.values()), homomorphism=True,
-                    bijective=N.order == 1)
-    return Q, proj
+    return Q, GroupMap._proved(G, Q, tuple(coset.values()), N.order == 1)
 
 
 def _coset_quotient(G: FiniteGroup, elements: Iterable[int], N: Subgroup,
@@ -831,7 +815,7 @@ def _coset_quotient(G: FiniteGroup, elements: Iterable[int], N: Subgroup,
     rank = {r: i for i, r in enumerate(sorted(set(key.values())))}
     coset = {s: rank[r] for s, r in key.items()}
     table = [[coset[t[a][b]] for b in rank] for a in rank]
-    return from_cayley_table(table, name=name), coset
+    return FiniteGroup._proved(table, name=name), coset
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -899,18 +883,16 @@ class DirectProduct:
         if not name:
             parts = [F.name or "?" for F in factors]
             name = "x".join(parts) if all(F.name for F in factors) else ""
-        self.group = from_cayley_table(table, name=name)
+        self.group = FiniteGroup._proved(table, name=name)
         # homomorphisms by construction, bijective iff the other factors are trivial
         P, ids = self.group, [F.identity for F in factors]
         self.injections = tuple(
-            GroupMap(F, P, tuple(self.encode(ids[:i] + [g] + ids[i + 1:])
-                                 for g in F.elements()),
-                     homomorphism=True, bijective=F.order == P.order)
+            GroupMap._proved(F, P, tuple(self.encode(ids[:i] + [g] + ids[i + 1:])
+                                         for g in F.elements()), F.order == P.order)
             for i, F in enumerate(self.factors))
         coords = [self.decode(x) for x in P.elements()]
         self.projections = tuple(
-            GroupMap(P, F, tuple(c[i] for c in coords),
-                     homomorphism=True, bijective=F.order == P.order)
+            GroupMap._proved(P, F, tuple(c[i] for c in coords), F.order == P.order)
             for i, F in enumerate(self.factors))
 
 
@@ -967,7 +949,7 @@ class SemidirectProduct:
         # hpart[h1, l1, h2] = h1 * act(l1)(h2); cell ((h1, l1), (h2, l2))
         hpart = H.np_table()[:, np.array([a.images for a in auts])]
         table = hpart[:, :, :, None] * L.order + L.np_table()[None, :, None, :]
-        self.group = from_cayley_table(table.reshape(total, total), name=name)
+        self.group = FiniteGroup._proved(table.reshape(total, total), name=name)
 
 
 def semidirect_product(H: FiniteGroup, L: FiniteGroup,
@@ -1010,7 +992,7 @@ class WreathProduct:
         shifted = funs[:, LT] @ weights
         base_table = _product_table([H.np_table()] * L.order)
         table = LT[:, None, :, None] * base + base_table[shifted][None]
-        self.group = from_cayley_table(table.reshape(total, total), name=name)
+        self.group = FiniteGroup._proved(table.reshape(total, total), name=name)
 
 
 def wreath_product(H: FiniteGroup, L: FiniteGroup, name: str = "") -> WreathProduct:
@@ -1166,7 +1148,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, bijective: bool,
     # H's identity row holds each id once: gathering from it, the maps
     # share the table's int objects instead of each making its own
     ids = np.array(H.table[H.identity], dtype=object)
-    return [GroupMap(G, H, imgs, homomorphism=True, bijective=b)
+    return [GroupMap._proved(G, H, imgs, b)
             for imgs, b in sorted(zip(map(tuple, ids[images].tolist()), bij.tolist()))]
 
 

@@ -15,14 +15,18 @@ results.  Built unchecked: the results of the transports `tilde`,
 `conjugate`, `weight_convert` and `inverse_argument_convert` (through
 `_proved`); the subgroups of `Subgroup._proved` (the subgroup sweep,
 `subgroup_generated` once its generators are in range, `center`, the
-lower central series, `kernel` and `image`); the canonical maps of
-`DirectProduct` and `quotient` and a closure group's image map, flagged
-as homomorphisms; the Lie-ring bracket and layer maps, read at one coset
-representative by the two theorems `lie_ring` states.  `is_splitting`,
-`bplus`, the twisted group in `derived`, the splitting report in
-`enumeration`, the decoded extension in `extension` and the
-constructions trust their theorems.  The public `Subgroup` and
-`GroupMap.hom` check in full, as do the group table constructors.
+lower central series, `kernel` and `image`); the group tables of
+`FiniteGroup._proved` (quotients, products, repacked subgroups,
+permutation closures, pair closures and twisted groups); the maps of
+`GroupMap._proved`, flagged as homomorphisms (the canonical maps of
+`DirectProduct` and `quotient`, the maps the homomorphism search returns
+and a closure group's image map); the Lie-ring bracket and layer maps,
+read at one coset representative by the two theorems `lie_ring` states.
+`is_splitting`, `bplus`, the twisted group in `derived`, the splitting
+report in `enumeration`, the decoded extension in `extension` and the
+constructions trust their theorems.  The public `Subgroup`, `GroupMap`
+and `GroupMap.hom` check in full, and `from_cayley_table` validates
+every table from outside.
 """
 
 from __future__ import annotations

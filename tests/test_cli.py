@@ -10,9 +10,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import counting
-from rbgroups import derived, extension
+from rbgroups import corpus, derived, extension
 from rbgroups.cli import main
 from rbgroups.corpus import corpus_group, corpus_names
+from rbgroups.groups import FiniteGroup
 from rbgroups.serialization import dumps, group_to_json
 
 
@@ -174,8 +175,8 @@ def test_derived_builds_twisted_group_once(monkeypatch, capsys):
     calls = {"derived_group": 0, "table": 0}
     monkeypatch.setattr(derived, "derived_group",
                         counting(calls, "derived_group", derived.derived_group))
-    monkeypatch.setattr(derived, "from_cayley_table",
-                        counting(calls, "table", derived.from_cayley_table))
+    monkeypatch.setattr(FiniteGroup, "_proved",
+                        counting(calls, "table", FiniteGroup._proved))
     j = run_json(capsys, "derived", "--corpus", "S3",
                  "--images", "0,1,1,0,0,1", "--table")
     assert j["order"] == 6 and len(j["circle_table"]) == 6
@@ -203,11 +204,42 @@ def test_order_cap_bounds_factor_count(monkeypatch, capsys):
                                "message": "a product of 100000 factors exceeds cap 2048"}
 
 
-def test_bad_order_cap_is_malformed_input(monkeypatch, capsys):
+def test_bad_order_cap_is_malformed_input(tmp_path, monkeypatch, capsys):
+    # the limit is read where a group is built: from a group file, and
+    # from the corpus when the group is not cached yet
+    path = tmp_path / "g.json"
+    path.write_text(dumps(group_to_json(corpus_group("S3"))))
+    monkeypatch.setattr(corpus, "_cached", corpus._cached.__wrapped__)
     monkeypatch.setenv("RBG_ORDER_CAP", "abc")
-    code, out, err = run(capsys, "enumerate", "--corpus", "S3")
-    assert code == 2 and out == ""
-    assert "RBG_ORDER_CAP" in err and "Traceback" not in err
+    for source in (("--group", str(path)), ("--corpus", "S3")):
+        code, out, err = run(capsys, "enumerate", *source)
+        assert code == 2 and out == ""
+        assert "RBG_ORDER_CAP" in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    # JSON nested past the interpreter's recursion limit is refused as
+    # malformed input, from a group file and from an operator file.  A
+    # fresh `rbg` parses 480 levels; the test's own stack leaves it fewer.
+    leaf = dumps(group_to_json(corpus_group("Z2")))
+
+    def nested(depth):
+        doc = leaf
+        for _ in range(depth):
+            doc = '{"name": "P", "kind": "direct", "factors": [' + doc + ']}'
+        return doc
+
+    files = {"shallow": nested(400), "deep": nested(3000), "brackets": "[" * 100000}
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(doc)
+    assert run_json(capsys, "enumerate", "-g", str(tmp_path / "shallow.json"))["count"] == 2
+    brackets = str(tmp_path / "brackets.json")
+    for argv in (("enumerate", "-g", str(tmp_path / "deep.json")),
+                 ("enumerate", "-g", brackets),
+                 ("verify", "--corpus", "S3", "--operator", brackets)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_extend_census_refutation(capsys):
@@ -282,15 +314,16 @@ def test_extend_answers_or_refuses(argv):
 def test_extend_builds_closure_once(monkeypatch, capsys):
     # the decision and the reported closure group share one pair closure,
     # and its group table is built once
-    calls = {"_closure_pairs": 0, "from_cayley_table": 0}
-    for fname in calls:
-        monkeypatch.setattr(extension, fname,
-                            counting(calls, fname, getattr(extension, fname)))
+    calls = {"_closure_pairs": 0, "table": 0}
+    monkeypatch.setattr(extension, "_closure_pairs",
+                        counting(calls, "_closure_pairs", extension._closure_pairs))
+    monkeypatch.setattr(FiniteGroup, "_proved",
+                        counting(calls, "table", FiniteGroup._proved))
     j = run_json(capsys, "extend", "--corpus", "S4",
                  "--gens", "1,2,3", "--images", "0,0,0")
     assert j["status"] == "extends" and j["via"] == "closure"
     assert j["gbar"]["order"] == 24 and len(j["gbar"]["table"]) == 24
-    assert calls == {"_closure_pairs": 1, "from_cayley_table": 1}
+    assert calls == {"_closure_pairs": 1, "table": 1}
 
 
 def test_lie_ring(capsys):

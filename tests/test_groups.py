@@ -29,8 +29,10 @@ from rbgroups.errors import (
     NotLatinSquare,
     OrderCapExceeded,
 )
-from rbgroups.enumeration import graph_enumerate
-from rbgroups.extension import word_image, word_pair, word_probe
+from rbgroups.constructions import cascade_rb
+from rbgroups.derived import derived_group
+from rbgroups.enumeration import _factor_data, graph_enumerate
+from rbgroups.extension import closure_group, word_image, word_pair, word_probe
 from rbgroups.groups import (
     DirectProduct,
     GroupMap,
@@ -226,8 +228,9 @@ def test_validator_agrees_with_reference(table):
 
 
 def test_validator_work(monkeypatch):
-    """Light's test settles every group the library builds without the
-    full associativity scan, checking at most ceil(log2 n) generators."""
+    """Light's test settles the table of every group the library builds,
+    validated as an outside table, without the full associativity scan,
+    checking at most ceil(log2 n) generators."""
     scans, checked = [], []
     scan, greedy = groups._check_associative, groups._greedy_generators
 
@@ -251,6 +254,8 @@ def test_validator_work(monkeypatch):
         wreath_product(z2, s3).group,
         semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]]).group,
     ]
+    for G in built:
+        from_cayley_table(G.table)
     assert scans == []
     assert {n for n, _ in checked} >= {G.order for G in built}
     for n, gens in checked:
@@ -259,6 +264,72 @@ def test_validator_work(monkeypatch):
     with pytest.raises(NotAssociative, match=r"^\(1\*1\)\*2 != 1\*\(1\*2\)$"):
         from_cayley_table(LOOP5)
     assert scans == [5]
+
+
+def _assert_proved(G):
+    # a table built unchecked passes every group axiom of the plain-loop
+    # reference, which finds the identity and inverses the group carries
+    assert reference_group_axioms(G.table) == (G.identity, G.inverses)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_proved_quotients_and_permutation_groups(name):
+    # the corpus groups closed from permutations, and every quotient
+    G = corpus_group(name)
+    _assert_proved(G)
+    for N in all_subgroups(G):
+        if is_normal(N):
+            _assert_proved(quotient(G, N)[0])
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_proved_subgroup_tables(name):
+    # every subgroup repacked, and on S4 the census's quotients S/N
+    G = corpus_group(name)
+    subs = all_subgroups(G)
+    for S in subs:
+        _assert_proved(S.as_group().group)
+        if name == "S4":
+            for _, Q, _, _ in _factor_data(G, S, subs):
+                _assert_proved(Q)
+
+
+def test_proved_product_tables():
+    # the reference's O(n^3) scan takes about 5 s on Z2 wr S3 (order
+    # 384), so the wreath constructor is checked on two smaller products
+    z2, z3, z4, s3 = (corpus_group(name) for name in ("Z2", "Z3", "Z4", "S3"))
+    for G in (direct_power(s3, 3).group, wreath_product(s3, z2).group,
+              wreath_product(z2, z3).group,
+              semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]]).group):
+        _assert_proved(G)
+
+
+def test_proved_closure_and_twisted_tables():
+    # the pair closures of the extension tests, and the twisted group of
+    # every operator in three censuses
+    for name, gens, images in (
+            ("S3", [1, 2], [1, 2]), ("S3", [1, 2], [1, 0]), ("S3", [1, 3], [0, 0]),
+            ("D4", [1, 2], [2, 2]), ("D4", [1, 2], [0, 3]), ("A4", [1, 4], [1, 0]),
+            ("S4", [1, 2, 3], [0, 0, 0])):
+        _assert_proved(closure_group(corpus_group(name), gens, images).group)
+    for name in ("S3", "D4", "A4"):
+        for op in graph_enumerate(corpus_group(name)).operators:
+            _assert_proved(derived_group(op).group)
+
+
+def test_built_groups_run_no_validation(monkeypatch):
+    # validation is for tables from outside: what the library builds
+    # from a theorem or a closure is not validated again
+    calls = {"validate": 0}
+    s4 = corpus_group("S4")
+    monkeypatch.setattr(groups, "_validate_table",
+                        counting(calls, "validate", groups._validate_table))
+    graph_enumerate(corpus_group("A5"))
+    cascade_rb(corpus_group("S3"), 3)
+    for op in graph_enumerate(s4).operators:
+        derived_group(op)
+    closure_group(s4, [1, 2, 3], [0, 0, 0])
+    assert calls == {"validate": 0}
 
 
 def test_s3_generation_convention(s3):
@@ -513,6 +584,23 @@ def test_automorphism_search_work(monkeypatch, name, examined, kept):
     assert [seen[start] for start in sorted(seen)] == [list(p) for p in zip(examined, kept)]
 
 
+def test_proved_maps_run_no_range_check(monkeypatch, s3):
+    # the maps a search or a theorem proves are built without the range
+    # check of every image; the public constructors keep it
+    heis3, z4 = corpus_group("Heis3"), corpus_group("Z4")
+    N = center(corpus_group("D4"))
+    calls = {"check": 0}
+    monkeypatch.setattr(groups.FiniteGroup, "check_elements",
+                        counting(calls, "check", groups.FiniteGroup.check_elements))
+    assert len(automorphisms(heis3)) == 432
+    DirectProduct((s3, z4))
+    quotient(N.parent, N)
+    assert calls == {"check": 0}
+    with pytest.raises(InvalidInput):
+        GroupMap.plain(s3, s3, [0, 1, 2, 3, 4, 6])
+    assert calls == {"check": 1}
+
+
 def test_group_map_validation(s3):
     with pytest.raises(NotHomomorphism):
         GroupMap.hom(s3, s3, [0, 1, 2, 3, 4, 4])
@@ -690,8 +778,8 @@ def test_order_cap_refuses_products_before_building(monkeypatch):
     monkeypatch.setattr(GroupMap, "automorphism", staticmethod(
         counting(calls, "automorphism", GroupMap.automorphism)))
     z4, z2 = corpus_group("Z4"), corpus_group("Z2")
-    monkeypatch.setattr(groups, "from_cayley_table",
-                        counting(calls, "table", groups.from_cayley_table))
+    monkeypatch.setattr(groups.FiniteGroup, "_proved",
+                        counting(calls, "table", groups.FiniteGroup._proved))
     monkeypatch.setenv("RBG_ORDER_CAP", "7")
     with pytest.raises(OrderCapExceeded):
         semidirect_product(z4, z2, [[0, 1, 2, 3], [0, 3, 2, 1]])
@@ -706,8 +794,8 @@ def test_order_cap_bounds_factor_count(monkeypatch):
     # trivial factors leave the order alone; the count of factors is
     # bounded by the same limit, before any table is built
     calls = {"table": 0}
-    monkeypatch.setattr(groups, "from_cayley_table",
-                        counting(calls, "table", groups.from_cayley_table))
+    monkeypatch.setattr(groups.FiniteGroup, "_proved",
+                        counting(calls, "table", groups.FiniteGroup._proved))
     z1 = corpus_group("Z1")
     monkeypatch.setenv("RBG_ORDER_CAP", "10")
     assert direct_power(z1, 10).group.order == 1
