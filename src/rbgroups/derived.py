@@ -8,6 +8,9 @@ the new group to the old one and stays a valid operator on the new
 group (Guo-Lang-Sheng, arXiv:2009.03492); under the check policy of
 `operators` these theorems are not checked at run time.  The structure
 report still checks its four facts: reporting them is what it is for.
+The twisted table is one gather over G's table; the report reads its
+facts off tables, the quotient tables among them (loops, as `groups`
+explains).
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidInput, StructureViolation
-from .groups import FiniteGroup, Subgroup, _is_normal_within, is_normal
+from .groups import (FiniteGroup, GroupMap, Subgroup, _coset_quotient,
+                     _is_normal_within, is_normal)
 from .operators import RBOperator, _require_valid, bplus, image, kernel
 
 __all__ = [
@@ -82,11 +88,11 @@ def derived_group(op: RBOperator) -> DerivedGroup:
     _require_valid(op)
     if op.weight != 1:
         raise InvalidInput("derived product is defined at weight +1")
-    G, B = op.group, op.images
-    t, inv = G.table, G.inverses
-    circle = [
-        [t[t[t[g][B[g]]][h]][inv[B[g]]] for h in G.elements()] for g in G.elements()
-    ]
+    G, B = op.group, np.array(op.images)
+    t = G.np_table()
+    pre = t[np.arange(G.order), B]  # g B(g)
+    post = np.array(G.inverses)[B]  # B(g)^-1
+    circle = t[t[pre], post[:, None]]
     twisted = FiniteGroup._proved(circle, name=f"{G.name}_B" if G.name else "",
                                   labels=G.labels)
     return DerivedGroup(G, op, twisted)
@@ -101,18 +107,22 @@ def eval_word(op: RBOperator, word: CircleWord) -> int:
     """
     _require_valid(op)
     G, B = op.group, op.images
-    t = G.table
-    e = G.identity
     for a, _ in word.letters:
         if not 0 <= a < G.order:
             raise InvalidInput(f"word letter {a} is outside the group")
+    return _circle_product(G, [(a, B[a], k) for a, k in word.letters])
 
-    left = e
-    for a, k in word.letters:
-        left = t[left][G.power(t[a][B[a]], k)]
-    right = e
-    for a, k in reversed(word.letters):
-        right = t[right][G.power(B[a], -k)]
+
+def _circle_product(G: FiniteGroup, syllables: Sequence[tuple[int, int, int]]) -> int:
+    """`eval_word`'s formula, shared with `extension.word_probe`: over the
+    syllables (a, u, k), each (a u)^k in order, then each u^-k reversed."""
+    t = G.table
+    left = G.identity
+    for a, u, k in syllables:
+        left = t[left][G.power(t[a][u], k)]
+    right = G.identity
+    for _, u, k in reversed(syllables):
+        right = t[right][G.power(u, -k)]
     return t[left][right]
 
 
@@ -129,10 +139,6 @@ class StructureReport:
     derived: DerivedGroup
 
 
-def _coset(G: FiniteGroup, x: int, sub: Subgroup) -> frozenset[int]:
-    return frozenset(G.table[x][s] for s in sub.elements)
-
-
 def structure_report(op: RBOperator) -> StructureReport:
     """Verify the four structural facts tying B, its companion, and G_B.
 
@@ -140,11 +146,11 @@ def structure_report(op: RBOperator) -> StructureReport:
     normal in the opposite image inside G; (c) the two quotients are
     isomorphic under the map sending the companion's coset of g to B's
     coset of g; (d) the two images multiply out to all of G.  All four
-    are theorems, so any failure raises StructureViolation.
+    are theorems, so any failure raises StructureViolation.  Fact (c) is
+    checked between the quotient tables that (b) makes well defined.
     """
     dg = derived_group(op)
     G, B = op.group, op.images
-    t = G.table
     twisted = dg.group
 
     ker_b = kernel(op)
@@ -179,31 +185,24 @@ def structure_report(op: RBOperator) -> StructureReport:
     if not _is_normal_within(G, ker_bp, im_b):
         raise StructureViolation("companion kernel is not normal in the image")
 
-    iso: dict[frozenset[int], frozenset[int]] = {}
+    src_q, src = _coset_quotient(G, im_bp.elements, ker_b)
+    dst_q, dst = _coset_quotient(G, im_b.elements, ker_bp)
+    iso: list = [None] * src_q.order
     for g in G.elements():
-        src = _coset(G, bp.images[g], ker_b)
-        dst = _coset(G, B[g], ker_bp)
-        prev = iso.get(src)
-        if prev is None:
-            iso[src] = dst
-        elif prev != dst:
+        c, d = src[bp.images[g]], dst[B[g]]
+        if iso[c] not in (None, d):
             raise StructureViolation(f"quotient map not well defined at {g}")
-    values = list(iso.values())
+        iso[c] = d
+    values = [d for d in iso if d is not None]
     if len(set(values)) != len(values):
         raise StructureViolation("quotient map is not injective")
-    if len(iso) * ker_b.order != im_bp.order:
+    if len(values) != len(iso):
         raise StructureViolation("quotient map does not cover the source quotient")
-    for c1 in iso:
-        r1 = min(c1)
-        for c2 in iso:
-            r2 = min(c2)
-            prod_src = _coset(G, t[r1][r2], ker_b)
-            prod_dst = _coset(G, t[min(iso[c1])][min(iso[c2])], ker_bp)
-            if iso[prod_src] != prod_dst:
-                raise StructureViolation("quotient map is not multiplicative")
+    if GroupMap.plain(src_q, dst_q, iso).hom_defect() is not None:
+        raise StructureViolation("quotient map is not multiplicative")
 
-    covered = {t[x][y] for x in im_bp.elements for y in im_b.elements}
-    if covered != set(G.elements()):
+    covered = G.np_table()[np.ix_(im_bp.elements, im_b.elements)]
+    if len(np.unique(covered)) != G.order:
         raise StructureViolation("images do not multiply out to the whole group")
 
     return StructureReport(
@@ -211,6 +210,6 @@ def structure_report(op: RBOperator) -> StructureReport:
         kernel_bplus=ker_bp,
         image_b=im_b,
         image_bplus=im_bp,
-        quotient_order=len(iso),
+        quotient_order=src_q.order,
         derived=dg,
     )

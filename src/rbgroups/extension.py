@@ -43,6 +43,9 @@ from typing import Optional, Sequence
 
 import random
 
+import numpy as np
+
+from .derived import _circle_product
 from .enumeration import _decode_graph
 from .errors import CondFails, InvalidInput
 from .groups import FiniteGroup, GroupMap, subgroup_generated
@@ -106,14 +109,7 @@ def word_probe(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
     """
     gens, images = _check_problem(G, gens, images)
     _check_word(word, len(gens))
-    t = G.table
-    left = G.identity
-    for i, k in word:
-        left = t[left][G.power(t[gens[i]][images[i]], k)]
-    right = G.identity
-    for i, k in reversed(word):
-        right = t[right][G.power(images[i], -k)]
-    return t[left][right]
+    return _circle_product(G, [(gens[i], images[i], k) for i, k in word])
 
 
 def word_pair(G: FiniteGroup, gens: Sequence[int], images: Sequence[int],
@@ -303,21 +299,21 @@ def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
     """closure_group's result from a diagonal-free pair closure: the
     sorted pairs under the coordinatewise product of G x G.  The closure
     is a subgroup of G x G and the image map is its second projection,
-    so neither the table nor the map is checked."""
-    t, inv = G.table, G.inverses
+    so neither the table nor the map is checked.  A pair (x, y) is coded
+    x*n + y, so the sorted pairs have sorted codes and the table is one
+    gather and one search over them."""
+    n, T = G.order, G.np_table()
     ordered = sorted(pairs)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[(t[x1][x2], t[y1][y2])] for (x2, y2) in ordered]
-        for (x1, y1) in ordered
-    ]
+    xs, ys = np.array(ordered).T
+    codes = xs * n + ys
+    table = np.searchsorted(codes, T[xs[:, None], xs] * n + T[ys[:, None], ys])
     H = FiniteGroup._proved(table, name=f"pair-closure({G.name})")
-    ys = tuple(y for _, y in ordered)
+    image = tuple(ys.tolist())
     return ClosureGroup(
         group=H,
         pairs=tuple(ordered),
-        probe=GroupMap.plain(H, G, [t[x][inv[y]] for x, y in ordered]),
-        image=GroupMap._proved(H, G, ys, H.order == G.order == len(set(ys))),
+        probe=GroupMap.plain(H, G, T[xs, np.array(G.inverses)[ys]].tolist()),
+        image=GroupMap._proved(H, G, image, H.order == G.order == len(set(image))),
     )
 
 

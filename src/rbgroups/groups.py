@@ -8,12 +8,18 @@ file, the corpus's literal tables, a caller) goes through
 or a closure proves to be a group is built unchecked by
 `FiniteGroup._proved`: quotients, the direct, semidirect and wreath
 products, repacked subgroups, permutation closures, pair closures and
-twisted groups.  `from_cayley_table`, the products and permutation
-closures refuse, with OrderCapExceeded and before allocating a table,
-any group above `order_cap()` (2048, or the RBG_ORDER_CAP environment
-variable), and `DirectProduct` refuses more factors than that limit.
-Every other proved table is no larger than a group that has passed the
-limit, so no other function checks the order.
+twisted groups.  All but the quotients are gathers over the parent's
+`np_table()`, as are `opposite_group`, `center` and `is_normal`.
+`_coset_quotient` and `_is_normal_within` stay loops: a census builds
+hundreds of quotients, most of order 4 or less, where numpy's fixed
+cost outweighs a loop.
+
+`from_cayley_table`, the products and permutation closures refuse,
+with OrderCapExceeded and before allocating a table, any group above
+`order_cap()` (2048, or the RBG_ORDER_CAP environment variable), and
+`DirectProduct` refuses more factors than that limit.  Every other
+proved table is no larger than a group that has passed the limit, so no
+other function checks the order.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
 fixed order: ragged rows and out-of-range entries, every row a
@@ -414,35 +420,38 @@ def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGr
             raise InvalidInput(f"generator {idx} is not a permutation of 0..{k - 1}")
         gtuples.append(p)
 
-    ident = tuple(range(k))
-    index = {ident: 0}
-    elems = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gtuples:
-                q = tuple(p[g[i]] for i in range(k))
-                if q not in index:
-                    _require_order(len(elems) + 1, "permutation closure")
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
+    # breadth first: right[j][i] is the id of elems[i] * gens[j], and
+    # elems[c] is first reached as elems[a] * gens[j], parent[c] = (a, j)
+    index = {tuple(range(k)): 0}
+    elems = list(index)
+    right: list[list[int]] = [[] for _ in gtuples]
+    parent = [None]
     for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i][j] = index[tuple(p[q[x]] for x in range(k))]
+        for j, g in enumerate(gtuples):
+            q = tuple(p[x] for x in g)
+            c = index.get(q)
+            if c is None:
+                _require_order(len(elems) + 1, "permutation closure")
+                c = index[q] = len(elems)
+                elems.append(q)
+                parent.append((i, j))
+            right[j].append(c)
+
+    # column c is column a times gens[j], built here as row c of cols
+    n = len(elems)
+    R = np.array(right, dtype=np.int32)
+    cols = np.empty((n, n), dtype=np.int32)
+    cols[0] = np.arange(n)
+    for c, (a, j) in enumerate(parent[1:], 1):
+        cols[c] = R[j][cols[a]]
     labels = [_perm_cycles(p) for p in elems]
-    return FiniteGroup._proved(table, name=name, labels=labels)
+    return FiniteGroup._proved(cols.T, name=name, labels=labels)
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
-    """The same elements with the reversed product a*b := G.mul(b, a)."""
-    table = [[G.table[b][a] for b in G.elements()] for a in G.elements()]
-    return FiniteGroup(table, G.identity, G.inverses,
+    """The same elements with the reversed product a*b := G.mul(b, a): the
+    transposed table."""
+    return FiniteGroup(G.np_table().T.tolist(), G.identity, G.inverses,
                        name=f"{G.name}^op" if G.name else "", labels=G.labels)
 
 
@@ -643,12 +652,10 @@ class Subgroup:
         if self._packed is None:
             to_parent = self.elements
             from_parent = {g: i for i, g in enumerate(to_parent)}
-            table = [
-                [from_parent[self.parent.table[a][b]] for b in to_parent]
-                for a in to_parent
-            ]
-            labels = [self.parent.label(g) for g in to_parent]
-            grp = FiniteGroup._proved(table, labels=labels)
+            ids = np.array(to_parent)
+            table = np.searchsorted(ids, self.parent.np_table()[np.ix_(ids, ids)])
+            grp = FiniteGroup._proved(
+                table, labels=[self.parent.label(g) for g in to_parent])
             self._packed = PackedSubgroup(grp, to_parent, from_parent)
         return self._packed
 
@@ -733,19 +740,18 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 def center(G: FiniteGroup) -> Subgroup:
     if G._center is None:
-        t = G.table
-        zs = [
-            g
-            for g in G.elements()
-            if all(t[g][h] == t[h][g] for h in G.elements())
-        ]
-        G._center = Subgroup._proved(G, zs)
+        t = G.np_table()
+        G._center = Subgroup._proved(G, np.flatnonzero((t == t.T).all(axis=1)).tolist())
     return G._center
 
 
 def is_normal(S: Subgroup) -> bool:
+    """Whether g s g^-1 is in S for all g in G and s in S: one gather."""
     G = S.parent
-    return all(G.conj(s, g) in S for g in G.elements() for s in S.elements)
+    t, ids = G.np_table(), np.array(S.elements)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[ids] = True
+    return bool(inside[t[t[:, ids], np.array(G.inverses)[:, None]]].all())
 
 
 def _require_subgroups_of(G: FiniteGroup, subs: Iterable[Subgroup]) -> None:

@@ -111,26 +111,25 @@ class Verdict:
         return self.valid
 
 
-def _first_defect(op: RBOperator) -> Optional[tuple[int, int]]:
-    G, B = op.group, op.images
-    t, inv = G.table, G.inverses
+def _plus_images(op: RBOperator) -> Sequence[int]:
+    """B at weight +1, and B(g) = g^-1 C(g) for C at weight -1, whose
+    identity at (g, h) is B's at (g, h) (see `_decide`)."""
     if op.weight == 1:
-        for g in G.elements():
-            bg = B[g]
-            left = t[bg]
-            pre = t[g][bg]
-            post = inv[bg]
-            for h in G.elements():
-                if left[B[h]] != B[t[t[pre][h]][post]]:
-                    return (g, h)
-    else:
-        for g in G.elements():
-            cg = B[g]
-            left = t[cg]
-            post = t[inv[cg]][g]
-            for h in G.elements():
-                if left[B[h]] != B[t[t[cg][h]][post]]:
-                    return (g, h)
+        return op.images
+    t, inv = op.group.table, op.group.inverses
+    return [t[inv[g]][c] for g, c in enumerate(op.images)]
+
+
+def _first_defect(op: RBOperator) -> Optional[tuple[int, int]]:
+    """The first pair (g, h) in row-major order where the identity fails."""
+    G, B = op.group, _plus_images(op)
+    t, inv = G.table, G.inverses
+    for g in G.elements():
+        bg = B[g]
+        left, pre, post = t[bg], t[t[g][bg]], inv[bg]
+        for h in G.elements():
+            if left[B[h]] != B[t[pre[h]][post]]:
+                return (g, h)
     return None
 
 
@@ -169,9 +168,7 @@ def _decide(op: RBOperator) -> bool:
     """
     G = op.group
     t, inv, e = G.table, G.inverses, G.identity
-    B = op.images
-    if op.weight == -1:
-        B = [t[inv[g]][c] for g, c in enumerate(B)]
+    B = _plus_images(op)
     if B[e] != e:
         return False
     pre = [t[t[g][b]] for g, b in enumerate(B)]

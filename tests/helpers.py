@@ -291,3 +291,61 @@ def reference_power_product(G, parts, r):
             acc = t[acc][power(parts[s], r[s][i])]
         out.append(acc)
     return tuple(out)
+
+
+def reference_permutation_group(gens):
+    """The closure of the permutations gens, numbered by breadth-first
+    discovery from the identity (each element of a level times each
+    generator, in order), and its table by composing permutations:
+    (p q)(i) = p(q(i)).  Returns (elements, table)."""
+    k = len(gens[0])
+    elems = [tuple(range(k))]
+    index = {elems[0]: 0}
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(k))
+                if q not in index:
+                    index[q] = len(elems)
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    table = [[index[tuple(p[q[i]] for i in range(k))] for q in elems] for p in elems]
+    return elems, table
+
+
+def reference_lie_verdict(ind):
+    """verify_lie_rb's verdict through whole ring elements: each layer map
+    checked additive on all pairs, then the weight-1 identity
+    [R(v), R(w)] = R([R(v), w] + [v, R(w)] + [v, w]) on every pair of
+    homogeneous elements, as zero-padded tuples through the ring's
+    bracket and sum.  Returns (valid, witness)."""
+    ring = ind.ring
+    for layer, m in zip(ring.layers, ind.layer_maps):
+        q = layer.quotient
+        for a in q.elements():
+            for b in q.elements():
+                if m[q.table[a][b]] != q.table[m[a]][m[b]]:
+                    return False, (layer.degree, a, b, "additivity")
+
+    def apply(v):
+        return tuple(m[x] for m, x in zip(ind.layer_maps, v))
+
+    def homogeneous(i, a):
+        v = list(ring.zero())
+        v[i] = a
+        return tuple(v)
+
+    br, add = ring.bracket, ring.add
+    for i, li in enumerate(ring.layers):
+        for j, lj in enumerate(ring.layers):
+            for a in li.quotient.elements():
+                for b in lj.quotient.elements():
+                    v, w = homogeneous(i, a), homogeneous(j, b)
+                    rv, rw = apply(v), apply(w)
+                    rhs = apply(add(br(rv, w), add(br(v, rw), br(v, w))))
+                    if br(rv, rw) != rhs:
+                        return False, (li.degree, a, lj.degree, b, "identity")
+    return True, None

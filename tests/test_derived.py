@@ -2,6 +2,7 @@ import pytest
 
 from helpers import counting, reference_twisted_table, reference_verify
 from rbgroups import operators
+from rbgroups.constructions import splitting_from_factorization
 from rbgroups.corpus import corpus_group
 from rbgroups.derived import (
     circle_word,
@@ -11,7 +12,7 @@ from rbgroups.derived import (
 )
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
-from rbgroups.groups import is_isomorphic
+from rbgroups.groups import all_subgroups, exact_factorizations, is_isomorphic
 from rbgroups.operators import elementary, rb_operator, verify
 
 
@@ -27,21 +28,32 @@ def test_circle_tables_are_groups(s3_census):
         assert dg.group.order == 6
 
 
+def _factorization_operators(name):
+    G = corpus_group(name)
+    return [splitting_from_factorization(G, H, L)
+            for H, L in exact_factorizations(G, all_subgroups(G))]
+
+
 def test_twisted_group_facts(s3_census):
     # the table is the twisted product, with the identity of G; B is
-    # multiplicative from G_B to G and stays a valid operator on G_B
-    for census in (s3_census, graph_enumerate(corpus_group("D4"))):
-        G = census.group
+    # multiplicative from G_B to G and stays a valid operator on G_B: on
+    # the S3 and D4 censuses, every seventh operator of the A4, S4 and A5
+    # censuses, and the splitting operator of every factorization of S4
+    ops = [*s3_census.operators, *graph_enumerate(corpus_group("D4")).operators]
+    for name in ("A4", "S4", "A5"):
+        ops += graph_enumerate(corpus_group(name)).operators[::7]
+    ops += _factorization_operators("S4")
+    for op in ops:
+        G, B = op.group, op.images
         t = G.table
-        for op in census.operators:
-            B = op.images
-            dg = derived_group(op)
-            ct = dg.circle_table
-            assert [list(row) for row in ct] == reference_twisted_table(G, B)
-            assert dg.group.identity == G.identity
-            assert all(B[ct[g][h]] == t[B[g]][B[h]]
-                       for g in G.elements() for h in G.elements())
-            assert reference_verify(dg.group, B) is None
+        dg = derived_group(op)
+        ct = dg.circle_table
+        assert [list(row) for row in ct] == reference_twisted_table(G, B)
+        assert dg.group.identity == G.identity
+        assert dg.group.labels == G.labels and dg.group.name == f"{G.name}_B"
+        assert all(B[ct[g][h]] == t[B[g]][B[h]]
+                   for g in G.elements() for h in G.elements())
+        assert reference_verify(dg.group, B) is None
 
 
 def test_derived_group_of_verified_operator_runs_no_check(s3_census, monkeypatch):
@@ -147,6 +159,27 @@ def test_structure_report_census(s3_census):
             assert rep.quotient_order * rep.kernel_bplus.order == rep.image_b.order
             assert rep.kernel_b.as_set() <= rep.image_bplus.as_set()
             assert rep.kernel_bplus.as_set() <= rep.image_b.as_set()
+
+
+@pytest.mark.parametrize("name, count", [("S4", 70), ("A5", 62)])
+def test_structure_report_on_factorizations(name, count):
+    # for G = HL, B(hl) = l^-1 has kernel H and image L, and its companion
+    # g B(g) = h has image H and kernel L: the two quotients are trivial
+    ops = _factorization_operators(name)
+    assert len(ops) == count
+    for op in ops:
+        G, B = op.group, op.images
+        bp = [G.mul(g, B[g]) for g in G.elements()]
+        ker = tuple(g for g in G.elements() if B[g] == G.identity)
+        ker_bp = tuple(g for g in G.elements() if bp[g] == G.identity)
+        rep = structure_report(op)
+        assert rep.kernel_b.elements == ker == tuple(sorted(set(bp)))
+        assert rep.image_b.elements == tuple(sorted(set(B))) == ker_bp
+        assert rep.image_bplus.elements == ker
+        assert rep.kernel_bplus.elements == ker_bp
+        assert rep.quotient_order == 1
+        assert [list(row) for row in rep.derived.circle_table] == \
+            reference_twisted_table(G, B)
 
 
 def test_inversion_derived_is_opposite(q8):

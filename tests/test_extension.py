@@ -124,10 +124,22 @@ def test_search_agrees_with_census():
     assert decided[("search", "no_extension")] > 0
 
 
+def _assert_pair_products(G, cg):
+    # the closure's pairs are sorted and its table is their coordinatewise
+    # product in G x G
+    assert list(cg.pairs) == sorted(cg.pairs)
+    index = {p: i for i, p in enumerate(cg.pairs)}
+    t = G.table
+    assert cg.group.table == tuple(
+        tuple(index[(t[x1][x2], t[y1][y2])] for x2, y2 in cg.pairs)
+        for x1, y1 in cg.pairs)
+
+
 def _assert_twisted_is_closure(G, gens, images, op):
     # g -> (g B(g), B(g)) is an isomorphism from the twisted group onto
     # the full-size pair closure
     cg = closure_group(G, gens, images)
+    _assert_pair_products(G, cg)
     index = {p: i for i, p in enumerate(cg.pairs)}
     enc = [index[(G.mul(g, op(g)), op(g))] for g in G.elements()]
     assert GroupMap.hom(derived_group(op).group, cg.group, enc).bijective
@@ -258,6 +270,7 @@ def test_word_identities_explicit_sample(s3):
 
 def test_closure_group_partial_problem(s3):
     cg = closure_group(s3, [1, 2], [1, 0])
+    _assert_pair_products(s3, cg)
     assert cg.group.order == 4
     assert is_isomorphic(cg.group, corpus_group("Z2xZ2")) is not None
     assert cg.pairs == ((0, 0), (0, 1), (2, 0), (2, 1))
@@ -270,6 +283,7 @@ def test_closure_group_partial_problem(s3):
 
 def test_closure_group_inversion_is_opposite(s3):
     cg = closure_group(s3, [1, 2], [1, 2])
+    _assert_pair_products(s3, cg)
     assert cg.group.order == 6
     assert is_isomorphic(cg.group, s3) is not None
     # probe transports the closure product to the reversed product on G
@@ -281,6 +295,7 @@ def test_closure_group_inversion_is_opposite(s3):
 
 def test_closure_group_trivial_images(s3):
     cg = closure_group(s3, [1, 3], [0, 0])
+    _assert_pair_products(s3, cg)
     assert cg.image.images == (0,) * 6
     iso = GroupMap.hom(cg.group, s3, cg.probe.images)
     assert iso.bijective
@@ -295,6 +310,7 @@ def test_closure_pairs_agree_with_words(name, gens, images):
     # the pair's probe and image
     G = corpus_group(name)
     cg = closure_group(G, gens, images)
+    _assert_pair_products(G, cg)
     words = reference_closure_words(G, gens, images, word_pair)
     assert set(words) == set(cg.pairs)
     for h, pair in enumerate(cg.pairs):
@@ -313,6 +329,7 @@ def test_closure_group_checks_no_homomorphism(monkeypatch):
     for name, gens, images in (("S3", [1, 2], [1, 0]), ("S4", [1, 2, 3], [0, 0, 0])):
         cg = closure_group(corpus_group(name), gens, images)
         assert cg.image.homomorphism
+        _assert_pair_products(corpus_group(name), cg)
     assert calls == {"checked_hom": 0}
 
 
@@ -326,6 +343,7 @@ def test_closure_group_matches_twisted_group(s3, s3_census):
     # multiplies like the derived group
     res = extend_generators(s3, [1, 2], [1, 2])
     cg = closure_group(s3, [1, 2], [1, 2])
+    _assert_pair_products(s3, cg)
     twisted = derived_group(res.operator).group
     assert is_isomorphic(cg.group, twisted) is not None
 

@@ -14,6 +14,7 @@ from helpers import (
     reference_group_axioms,
     reference_hom_defect,
     reference_homomorphisms,
+    reference_permutation_group,
     reference_subgroups,
     relabel,
 )
@@ -282,13 +283,44 @@ def test_proved_quotients_and_permutation_groups(name):
             _assert_proved(quotient(G, N)[0])
 
 
+@pytest.mark.parametrize("build, gens_count", [
+    (lambda: corpus.symmetric(3), 2), (lambda: corpus.symmetric(4), 3),
+    (lambda: corpus.symmetric(5), 4), (lambda: corpus.symmetric(6), 5),
+    (lambda: corpus.alternating(4), 2), (lambda: corpus.alternating(5), 2),
+    (lambda: corpus.alternating(6), 2), (lambda: corpus.dihedral(4), 2),
+    (lambda: corpus.dihedral(6), 2),
+])
+def test_permutation_closure_matches_composition(monkeypatch, build, gens_count):
+    # the closure's numbering, table, labels, identity and inverses are
+    # those of plain breadth-first discovery and permutation composition
+    seen = []
+    real = corpus.from_permutations
+    monkeypatch.setattr(corpus, "from_permutations",
+                        lambda gens, name="": seen.append(gens) or real(gens, name=name))
+    G = build()
+    assert len(seen) == 1 and len(seen[0]) == gens_count
+    elems, table = reference_permutation_group(seen[0])
+    assert G.table == tuple(map(tuple, table))
+    assert G.identity == 0
+    assert G.inverses == tuple(row.index(0) for row in table)
+    assert G.labels == tuple(groups._perm_cycles(p) for p in elems)
+
+
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_proved_subgroup_tables(name):
-    # every subgroup repacked, and on S4 the census's quotients S/N
+    # every subgroup repacked, its table the parent's product renumbered
+    # in increasing order, and on S4 the census's quotients S/N
     G = corpus_group(name)
     subs = all_subgroups(G)
     for S in subs:
-        _assert_proved(S.as_group().group)
+        packed = S.as_group()
+        ids = list(S.elements)
+        assert packed.to_parent == S.elements
+        assert packed.from_parent == {g: i for i, g in enumerate(ids)}
+        assert packed.group.table == tuple(
+            tuple(ids.index(G.table[a][b]) for b in ids) for a in ids)
+        assert packed.group.labels == tuple(G.label(g) for g in ids)
+        _assert_proved(packed.group)
         if name == "S4":
             for _, Q, _, _ in _factor_data(G, S, subs):
                 _assert_proved(Q)
@@ -458,6 +490,14 @@ def test_subgroup_functions_refuse_foreign_subgroups():
 def test_normality(s3):
     assert is_normal(subgroup_generated(s3, [3]))
     assert not is_normal(subgroup_generated(s3, [1]))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_is_normal_agrees_with_conjugation_loop(name):
+    G = corpus_group(name)
+    whole = Subgroup(G, G.elements())
+    for S in all_subgroups(G):
+        assert is_normal(S) == groups._is_normal_within(G, S, whole)
 
 
 def test_quotient(s3, d4):
@@ -756,6 +796,16 @@ def test_opposite_group(s3):
         for b in s3.elements():
             assert op.table[a][b] == s3.table[b][a]
     assert is_isomorphic(op, s3) is not None
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_opposite_group_on_corpus(name):
+    G = corpus_group(name)
+    op = opposite_group(G)
+    assert op.table == tuple(tuple(G.mul(b, a) for b in G.elements())
+                             for a in G.elements())
+    assert (op.identity, op.inverses) == (G.identity, G.inverses)
+    assert (op.name, op.labels) == (f"{G.name}^op", G.labels)
 
 
 def test_generating_sequence(s3, q8):

@@ -1,10 +1,16 @@
+import itertools
+import random
+
 import pytest
 
+from helpers import reference_lie_verdict
 from rbgroups.constructions import central_conjugation
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import PreconditionFailed
+from rbgroups.groups import all_homomorphisms
 from rbgroups.lie_ring import (
+    InducedRB,
     bracket_nonzero_count,
     check_lie_ring,
     graded_lie_ring,
@@ -160,3 +166,26 @@ def test_induced_maps_constant_on_cosets(name):
         for layer, m in zip(ring.layers, ind.layer_maps):
             for x, cx in layer.projection.items():
                 assert layer.projection[op(x)] == m[cx]
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "Heis3"])
+def test_lie_verdicts_match_whole_ring_reference(name):
+    # the verdict and witness, read off the layer bracket tables, are those
+    # of the identity on zero-padded ring elements: for every central
+    # conjugation (the operators of c7), for every tuple of additive layer
+    # maps, and for random layer maps, most of them not additive
+    G = corpus_group(name)
+    ring = graded_lie_ring(G)
+    inds = [induced_rb(ring, central_conjugation(G, g)) for g in G.elements()]
+    op = inds[0].operator
+    endos = [[h.images for h in all_homomorphisms(l.quotient, l.quotient)]
+             for l in ring.layers]
+    inds += [InducedRB(ring, op, maps) for maps in itertools.product(*endos)]
+    rng = random.Random(5)
+    inds += [InducedRB(ring, op, tuple(
+        tuple(rng.randrange(l.quotient.order) for _ in l.quotient.elements())
+        for l in ring.layers)) for _ in range(100)]
+    verdicts = [verify_lie_rb(ind) for ind in inds]
+    assert [(v.valid, v.witness) for v in verdicts] == \
+        [reference_lie_verdict(ind) for ind in inds]
+    assert {v.witness[-1] for v in verdicts if not v} == {"additivity", "identity"}
