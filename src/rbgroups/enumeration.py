@@ -32,6 +32,16 @@ in G's ids, once, and shared by every visit to S.  The isomorphisms
 between two quotients are searched once per distinct pair of quotient
 tables and shared by every candidate with that pair.  Nothing outlives
 the call.
+
+Decoding and the check run in batches.  The walk appends each subgroup
+it finds as one row of |G| pairs, and once the pending rows hold
+_CHUNK_CELLS cells they are decoded together: one gather computes every
+x y^-1, one scatter writes each y there, and `operators._decide_rows`
+decides every decoded row, as `verify` would decide it alone.  Brute
+force decides its survivors in one such call, and the splitting report
+reads kernels, images and B(gB(g)) = e off the census a chunk of rows at
+a time.  A chunk bounds the arrays a census holds: decoding the whole
+PSL(2,11) census at once took its peak RSS from 90 to 230 MB.
 """
 
 from __future__ import annotations
@@ -55,14 +65,14 @@ from .groups import (
 from .operators import (
     RBOperator,
     _require_valid,
+    _valid_rows,
     elementary,
-    is_splitting,
-    kernel,
     tilde,
     verify,
 )
 
 DEFAULT_BRUTE_CAP = 8
+_CHUNK_CELLS = 1 << 12  # cells of image rows a census decodes, decides or reports at once
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
@@ -149,16 +159,8 @@ def brute_force_enumerate(G: FiniteGroup, weight: int = 1) -> Census:
             if d.shape[0] == 0:
                 break
 
-    rows = sorted(tuple(int(x) for x in row) for row in d)
-    ops = []
-    for row in rows:
-        op = RBOperator(G, row, weight=weight)
-        v = verify(op)
-        if not v:
-            raise StructureViolation(
-                f"brute-force survivor fails verification at {v.witness}"
-            )
-        ops.append(op)
+    d = d[np.lexsort(d.T[::-1])]  # rows in lexicographic order
+    ops = _valid_rows(G, d, weight, "brute-force survivor")
     return Census(G, "brute", tuple(ops), weight=weight)
 
 
@@ -203,7 +205,8 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     G's ids and shared by every visit as A or as C.  The isomorphisms
     between two quotients depend only on their tables, so they are
     searched once per pair of tables and walked as image tuples; nothing
-    is kept after the call.
+    is kept after the call.  Each subgroup found is kept as a row of
+    pairs, decoded and decided with its chunk (module docstring).
     """
     n = G.order
     e = G.identity
@@ -215,16 +218,21 @@ def graph_enumerate(G: FiniteGroup) -> Census:
 
     isos: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[RBOperator] = []
+    xs: list[list[int]] = []
+    ys: list[list[int]] = []
+    chunk = -(-_CHUNK_CELLS // n)
     for A in subs:
         for Bn, QA, projA, _ in factors[A.elements]:
             if (n % Bn.order) != 0:
                 continue
             c_order = n // Bn.order
             quot_order = A.order // Bn.order
+            pa = [projA[x] for x in A.elements]
             for C in by_order.get(c_order, []):
                 if C.order % quot_order != 0:
                     continue
                 d_order = C.order // quot_order
+                X = None
                 for Dn, QC, projC, fibers in factors[C.elements]:
                     if Dn.order != d_order:
                         continue
@@ -236,12 +244,34 @@ def graph_enumerate(G: FiniteGroup) -> Census:
                         if any(x != e and phi[projA[x]] == projC[x]
                                for x in common):
                             continue
-                        found.append(_decode_graph(G, (
-                            (x, y) for x in A.elements
-                            for y in fibers[phi[projA[x]]])))
+                        if X is None:
+                            X = [x for x in A.elements for _ in range(d_order)]
+                        xs.append(X)
+                        ys.append([y for q in pa for y in fibers[phi[q]]])
+                        if len(ys) == chunk:
+                            found += _decode_rows(G, xs, ys)
+                            xs, ys = [], []
+    if ys:
+        found += _decode_rows(G, xs, ys)
 
     found.sort(key=lambda op: op.images)
     return Census(G, "graph", tuple(found))
+
+
+def _decode_rows(G: FiniteGroup, X: list, Y: list) -> list[RBOperator]:
+    """The operators B(x y^-1) = y read off k pair rows, row i the pairs
+    (X[i][j], Y[i][j]) of a diagonal-free subgroup of G x G of order |G|:
+    one gather finds each pair's g = x y^-1, one scatter writes y at g,
+    and `_decide_rows` decides every row."""
+    T, inv = G.np_table(), np.asarray(G.inverses, dtype=np.int32)
+    Y = np.array(Y, dtype=np.int32)
+    g = T[np.array(X, dtype=np.int32), inv[Y]]
+    images = np.full(Y.shape, -1, dtype=np.int32)
+    images[np.arange(len(Y))[:, None], g] = Y
+    if (images < 0).any():  # n pairs per row, so a gap is a collision
+        raise StructureViolation(
+            "difference map not injective despite trivial diagonal")
+    return _valid_rows(G, images, 1, "decoded subgroup")
 
 
 def _decode_graph(G: FiniteGroup, pairs) -> RBOperator:
@@ -343,20 +373,47 @@ class SplittingReport:
     non_splitting: tuple[int, ...]
 
 
+def _splitting_masks(census: Census):
+    """Kernel and image masks of every census row, and which rows split
+    (B(gB(g)) = e for every g), by gathers and scatters over a chunk of
+    rows at a time.  Every operator is validated first."""
+    ops = census.operators
+    for op in ops:
+        if op.verified is not True:
+            _require_valid(op)
+    G = census.group
+    n, e = G.order, G.identity
+    T = G.np_table().ravel()
+    kernels = np.empty((len(ops), n), dtype=bool)
+    images = np.zeros((len(ops), n), dtype=bool)
+    split = np.empty(len(ops), dtype=bool)
+    step = -(-_CHUNK_CELLS // n)
+    for i in range(0, len(ops), step):
+        B = np.array([op.images for op in ops[i:i + step]], dtype=np.int32)
+        off = np.arange(0, B.size, n, dtype=np.int32)[:, None]
+        plus = T[np.arange(0, n * n, n, dtype=np.int32) + B]  # gB(g)
+        split[i:i + step] = (B.ravel()[off + plus] == e).all(axis=1)
+        kernels[i:i + step] = B == e
+        images[i:i + step].ravel()[off + B] = True
+    return kernels, images, split
+
+
 def splitting_report(census: Census) -> SplittingReport:
     """Match each splitting operator to its (kernel, image) factorization.
 
     A splitting operator's kernel and image factor the group exactly (a
-    theorem, not checked here), so no subgroup sweep is needed.
+    theorem, not checked here), so no subgroup sweep is needed.  The
+    test and both subgroups are read off the census as arrays.
     """
-    out = {}
-    rest = []
-    for i, op in enumerate(census.operators):
-        sp = is_splitting(op)
-        if sp:
-            out[i] = (sp.kernel.elements, sp.image.elements)
-        else:
-            rest.append(i)
+    kernels, images, split = _splitting_masks(census)
+    if any(op.weight != 1 for op in census.operators):
+        raise InvalidInput("splitting test is defined at weight +1")
+    out = {
+        i: (tuple(np.flatnonzero(kernels[i]).tolist()),
+            tuple(np.flatnonzero(images[i]).tolist()))
+        for i in np.flatnonzero(split).tolist()
+    }
+    rest = np.flatnonzero(~split).tolist()
     return SplittingReport(splitting=out, non_splitting=tuple(rest))
 
 
@@ -373,27 +430,32 @@ class SimpleCheck:
 def simple_group_check(G: FiniteGroup, census: Optional[Census] = None) -> SimpleCheck:
     """For a simple group: trivial-kernel operators must be inversion, and
     non-elementary operators must split along an exact factorization,
-    tested on each one's kernel and image without a subgroup sweep."""
+    tested on each one's kernel and image without a subgroup sweep, off
+    the masks the splitting report reads."""
     if not is_simple(G):
         raise InvalidInput("check applies to simple groups only")
     if census is None:
         census = graph_enumerate(G)
+    kernels, images, split = _splitting_masks(census)
+    k_orders = kernels.sum(axis=1)
+    exact = ((k_orders * images.sum(axis=1) == G.order)
+             & ((kernels & images).sum(axis=1) == 1)).tolist()
+    k_orders, split = k_orders.tolist(), split.tolist()
     inv_images = tuple(G.inverses)
     b0_images = (G.identity,) * G.order
     trivial_ok = True
     split_ok = True
     covered = True
-    for op in census.operators:
-        if kernel(op).order == 1 and op.images != inv_images:
+    for i, op in enumerate(census.operators):
+        if k_orders[i] == 1 and op.images != inv_images:
             trivial_ok = False
         if op.images in (inv_images, b0_images):
             continue
-        sp = is_splitting(op)
-        if not sp:
+        if op.weight != 1:
+            raise InvalidInput("splitting test is defined at weight +1")
+        if not split[i]:
             split_ok = False
-            continue
-        K, I = sp.kernel, sp.image
-        if K.order * I.order != G.order or K.as_set() & I.as_set() != {G.identity}:
+        elif not exact[i]:
             covered = False
     return SimpleCheck(
         census_size=len(census.operators),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import counting, exhaustive_census, reference_orbits, relabel
+from helpers import counting, exhaustive_census, reference_orbits, reference_verify, relabel
 from rbgroups import enumeration, groups, operators
 from rbgroups.corpus import corpus_group, corpus_names, symmetric
 from rbgroups.enumeration import (
@@ -17,7 +17,7 @@ from rbgroups.enumeration import (
     simple_group_check,
     splitting_report,
 )
-from rbgroups.errors import InvalidInput, OrderCapExceeded
+from rbgroups.errors import InvalidInput, OrderCapExceeded, StructureViolation
 from rbgroups.groups import (
     all_subgroups,
     automorphisms,
@@ -25,7 +25,7 @@ from rbgroups.groups import (
     from_cayley_table,
     is_normal,
 )
-from rbgroups.operators import elementary, rb_operator, weight_convert
+from rbgroups.operators import elementary, is_splitting, rb_operator, weight_convert
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -226,14 +226,18 @@ def test_census_checks_no_subgroup(monkeypatch, name):
 def test_simple_group_check_a5_shape(monkeypatch):
     # A5's 62 operators: inversion is the one with trivial kernel, and the
     # 60 non-elementary ones split along exact factorizations, which the
-    # check tests pair by pair without a subgroup sweep
+    # check reads off one pass of kernel and image masks over the census,
+    # as the splitting report does, without a subgroup sweep
     with pytest.raises(InvalidInput):
         simple_group_check(corpus_group("S3"))
     A5 = corpus_group("A5")
     census = graph_enumerate(A5)
     calls = _count_sweeps(monkeypatch)
+    calls["masks"] = 0
+    monkeypatch.setattr(enumeration, "_splitting_masks",
+                        counting(calls, "masks", enumeration._splitting_masks))
     assert simple_group_check(A5, census) == SimpleCheck(62, True, True, True)
-    assert calls == {"sweeps": 0}
+    assert calls == {"sweeps": 0, "masks": 1}
 
 
 def test_weight_minus_one_census(s3):
@@ -319,3 +323,96 @@ def test_splitting_count_equals_exact_factorizations(name):
     G = corpus_group(name)
     report = splitting_report(graph_enumerate(G))
     assert len(report.splitting) == len(exact_factorizations(G))
+
+
+@pytest.mark.parametrize("name, size", [case[:2] for case in _CENSUS_WORK],
+                         ids=[case[0] for case in _CENSUS_WORK])
+def test_graph_census_decides_rows_in_chunks(monkeypatch, name, size):
+    # no operator is verified on its own: the decoded rows are decided
+    # by one _decide_rows call per chunk of at most _CHUNK_CELLS cells
+    G = corpus_group(name)
+    calls = {"verify": 0, "decide": 0}
+    chunks = []
+    real = operators._decide_rows
+
+    def recording(H, rows):
+        chunks.append(len(rows))
+        return real(H, rows)
+
+    monkeypatch.setattr(operators, "_decide_rows", recording)
+    for module in (operators, enumeration):
+        monkeypatch.setattr(module, "verify", counting(calls, "verify", operators.verify))
+    monkeypatch.setattr(operators, "_decide", counting(calls, "decide", operators._decide))
+    census = graph_enumerate(G)
+    assert len(census) == size
+    per = -(-enumeration._CHUNK_CELLS // G.order)
+    assert chunks == [per] * (size // per) + ([size % per] if size % per else [])
+    assert calls == {"verify": 0, "decide": 0}
+    assert all(op.verified is True for op in census.operators)
+
+
+def _corrupting(real, what):
+    """Wrap `_valid_rows` so that the rows it is handed have one cell
+    changed, in the row holding b0 if any, else in row 0."""
+    seen = {}
+
+    def wrapper(G, rows, weight, label):
+        rows = rows.copy()
+        i = next((i for i, r in enumerate(rows) if not r.any()), 0)
+        rows[i, G.order - 1] = 1
+        seen.update(label=label, row=rows[i].tolist(), weight=weight)
+        return real(G, rows, weight, label)
+
+    return wrapper, seen
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4"])
+def test_corrupted_census_row_raises_scalar_witness(monkeypatch, name):
+    # a decode that hands on a wrong row fails the census, and the error
+    # names the first failing pair, as verify would
+    G = corpus_group(name)
+    wrapper, seen = _corrupting(enumeration._valid_rows, "decoded subgroup")
+    monkeypatch.setattr(enumeration, "_valid_rows", wrapper)
+    with pytest.raises(StructureViolation) as err:
+        graph_enumerate(G)
+    witness = reference_verify(G, seen["row"])
+    assert witness is not None
+    assert str(err.value) == f"decoded subgroup fails verification at {witness}"
+
+
+@pytest.mark.parametrize("weight", [1, -1])
+def test_corrupted_brute_survivor_raises_scalar_witness(monkeypatch, s3, weight):
+    wrapper, seen = _corrupting(enumeration._valid_rows, "brute-force survivor")
+    monkeypatch.setattr(enumeration, "_valid_rows", wrapper)
+    with pytest.raises(StructureViolation) as err:
+        brute_force_enumerate(s3, weight=weight)
+    witness = reference_verify(s3, seen["row"], weight)
+    assert witness is not None and seen["weight"] == weight
+    assert str(err.value) == f"brute-force survivor fails verification at {witness}"
+
+
+def test_brute_force_decides_survivors_at_once(monkeypatch, s3):
+    # one _decide_rows call over every survivor, no verify per operator
+    calls = {"verify": 0, "rows": 0}
+    monkeypatch.setattr(operators, "_decide_rows",
+                        counting(calls, "rows", operators._decide_rows))
+    monkeypatch.setattr(enumeration, "verify", counting(calls, "verify", operators.verify))
+    for weight in (1, -1):
+        assert len(brute_force_enumerate(s3, weight=weight)) == 8
+    assert calls == {"verify": 0, "rows": 2}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_splitting_report_equals_per_operator_test(name):
+    G = corpus_group(name)
+    census = graph_enumerate(G)
+    splitting, rest = {}, []
+    for i, op in enumerate(census.operators):
+        sp = is_splitting(op)
+        if sp:
+            splitting[i] = (sp.kernel.elements, sp.image.elements)
+        else:
+            rest.append(i)
+    report = splitting_report(census)
+    assert report.splitting == splitting
+    assert report.non_splitting == tuple(rest)

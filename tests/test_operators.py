@@ -1,6 +1,7 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from helpers import (
     reference_verify,
 )
 from rbgroups import operators
-from rbgroups.corpus import corpus_group, corpus_names
+from rbgroups.corpus import corpus_group, corpus_names, symmetric
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
 from rbgroups.groups import GroupMap, automorphisms
@@ -308,3 +309,46 @@ def test_verify_reads_few_columns(monkeypatch, name):
             columns.clear()
             assert verify(rb_operator(G, images, weight))
             assert columns == expected and calls == {"scans": 0}
+
+
+def _rows_agree(G, rows):
+    """`_decide_rows` on the rows at once against `_decide` and the
+    reference check on each row."""
+    got = operators._decide_rows(G, np.array(rows)).tolist()
+    assert got == [operators._decide(rb_operator(G, r)) for r in rows]
+    assert got == [reference_verify(G, r) is None for r in rows]
+    return got
+
+
+@pytest.mark.parametrize("name", list(corpus_names()) + ["S5"])
+def test_decide_rows_accepts_every_census_row(name):
+    G = symmetric(5) if name == "S5" else corpus_group(name)
+    rows = graph_enumerate(G).image_tuples()
+    assert all(_rows_agree(G, rows))
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_decide_rows_on_every_one_cell_change(name):
+    # every census row with one cell changed to every other id, B(e)
+    # among them: the rows accepted are the changed rows in the census
+    G = corpus_group(name)
+    census = graph_enumerate(G).image_tuples()
+    known = set(census)
+    rows = []
+    for images in census:
+        for g in G.elements():
+            for x in G.elements():
+                if x != images[g]:
+                    rows.append(images[:g] + (x,) + images[g + 1:])
+    assert _rows_agree(G, rows) == [r in known for r in rows]
+
+
+def test_decide_rows_refuses_moved_identity(rng):
+    # B(e) != e fails at (e, e), whatever the other cells hold
+    for name in ("S3", "Q8", "A4", "Heis3"):
+        G = corpus_group(name)
+        rows = [random_images(G, rng, fix_identity=False) for _ in range(40)]
+        for r in rows:
+            r[G.identity] = rng.choice([g for g in G.elements() if g != G.identity])
+        assert not any(_rows_agree(G, rows))
+        assert operators._decide_rows(G, np.zeros((0, G.order), dtype=int)).shape == (0,)
