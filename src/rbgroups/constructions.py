@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     CommutationFails,
     DecompositionNotUnique,
@@ -443,6 +445,13 @@ def power_product_rb(G: FiniteGroup, n: int, r,
     With automorphisms psi_2..psi_n, each inner factor is twisted before
     the next one multiplies in; the twisted map is the plain map
     conjugated by the diagonal automorphism built from the psi chain.
+
+    The images of all elements are computed at once from the product's
+    coordinate array (`DirectProduct.coords`): per matrix entry r_si,
+    one gather of the powers g_s^r_si and one of the table against the
+    (twisted) running product, then one mixed-radix combine of the
+    components.  The result gets the one full check, as every
+    construction does.
     """
     m = _as_matrix(r)
     if m.size != n:
@@ -471,24 +480,22 @@ def _power_product(G: FiniteGroup, n: int, r: Sequence[Sequence[int]],
                 raise InvalidInput("twist automorphism acts on a different group")
             if not (psi.homomorphism and psi.bijective):
                 raise InvalidInput("twists must be verified automorphisms")
-    t = G.table
     # powers[k][x] = x^k for k in -1, 0, 1; twists[k] is psis[k] as an array.
     # With ids from 0, component i is
-    # g_i^r_ii twists[i-1](g_(i-1)^r_(i-1)i twists[i-2](... twists[0](g_0^r_0i)))
-    powers = {1: range(G.order), 0: (G.identity,) * G.order, -1: G.inverses}
-    twists = [range(G.order)] * (n - 1) if psis is None else [p.images for p in psis]
-    steps = [[(powers[r[s][i]], twists[s - 1]) for s in range(1, i + 1)]
-             for i in range(n)]
-    images = []
-    for x in prod.group.elements():
-        parts = prod.decode(x)
-        comps = []
-        for i in range(n):
-            acc = powers[r[0][i]][parts[0]]
-            for s, (power, twist) in enumerate(steps[i], 1):
-                acc = t[power[parts[s]]][twist[acc]]
-            comps.append(acc)
-        images.append(prod.encode(comps))
+    # g_i^r_ii twists[i-1](g_(i-1)^r_(i-1)i twists[i-2](... twists[0](g_0^r_0i))),
+    # computed for every element at once over the coordinate columns
+    T, m = G.np_table(), G.order
+    powers = {1: np.arange(m), 0: np.full(m, G.identity), -1: np.array(G.inverses)}
+    twists = [None] * (n - 1) if psis is None else [np.array(p.images) for p in psis]
+    parts = prod.coords
+    comps = []
+    for i in range(n):
+        acc = powers[r[0][i]][parts[0]]
+        for s in range(1, i + 1):
+            twisted = acc if twists[s - 1] is None else twists[s - 1][acc]
+            acc = T[powers[r[s][i]][parts[s]], twisted]
+        comps.append(acc)
+    images = (prod.weights @ np.array(comps)).tolist()
     what = "matrix power product" if psis is None else "twisted matrix power product"
     return _wrap_valid(prod.group, images, 1, what)
 

@@ -10,7 +10,8 @@ group (Guo-Lang-Sheng, arXiv:2009.03492); under the check policy of
 report still checks its four facts: reporting them is what it is for.
 The twisted table is one gather over G's table; the report reads its
 facts off tables, the quotient tables among them (loops, as `groups`
-explains).
+explains).  It checks fact (a) on that gather as an array, not through
+`is_normal` on the twisted group, which would cache the array on it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, StructureViolation
-from .groups import (FiniteGroup, GroupMap, Subgroup, _coset_quotient,
-                     _is_normal_within, is_normal)
+from .groups import FiniteGroup, GroupMap, Subgroup, _coset_quotient, _normal_in
 from .operators import RBOperator, _require_valid, bplus, image, kernel
 
 __all__ = [
@@ -88,14 +88,21 @@ def derived_group(op: RBOperator) -> DerivedGroup:
     _require_valid(op)
     if op.weight != 1:
         raise InvalidInput("derived product is defined at weight +1")
+    G = op.group
+    twisted = FiniteGroup._proved(_twisted_table(op),
+                                  name=f"{G.name}_B" if G.name else "", labels=G.labels)
+    return DerivedGroup(G, op, twisted)
+
+
+def _twisted_table(op: RBOperator) -> np.ndarray:
+    """The twisted product of a valid weight-+1 operator, which the caller
+    ensures, as an array: one gather over G's, cell (g, h) is
+    g B(g) h B(g)^-1."""
     G, B = op.group, np.array(op.images)
     t = G.np_table()
     pre = t[np.arange(G.order), B]  # g B(g)
     post = np.array(G.inverses)[B]  # B(g)^-1
-    circle = t[t[pre], post[:, None]]
-    twisted = FiniteGroup._proved(circle, name=f"{G.name}_B" if G.name else "",
-                                  labels=G.labels)
-    return DerivedGroup(G, op, twisted)
+    return t[t[pre], post[:, None]]
 
 
 def eval_word(op: RBOperator, word: CircleWord) -> int:
@@ -151,7 +158,9 @@ def structure_report(op: RBOperator) -> StructureReport:
     """
     dg = derived_group(op)
     G, B = op.group, op.images
-    twisted = dg.group
+    # fact (a) is read off the twisted product as an array, gathered again
+    # from G's: the twisted group keeps no array of its own
+    twisted, circle = dg.group, _twisted_table(op)
 
     ker_b = kernel(op)
     im_b = image(op)
@@ -168,21 +177,22 @@ def structure_report(op: RBOperator) -> StructureReport:
     for sub_elems, tag in ((ker_b.elements, "kernel"), (ker_bp.elements,
                                                         "companion kernel")):
         try:
-            s = Subgroup(twisted, sub_elems)
+            Subgroup(twisted, sub_elems)
         except InvalidInput as exc:
             raise StructureViolation(
                 f"{tag} is not a twisted-product subgroup: {exc}"
             ) from exc
-        if not is_normal(s):
+        if not _normal_in(circle, twisted.inverses, sub_elems):
             raise StructureViolation(f"{tag} is not normal in the twisted group")
 
     if not ker_b.as_set() <= im_bp.as_set():
         raise StructureViolation("kernel is not inside the companion image")
     if not ker_bp.as_set() <= im_b.as_set():
         raise StructureViolation("companion kernel is not inside the image")
-    if not _is_normal_within(G, ker_b, im_bp):
+    t = G.np_table()
+    if not _normal_in(t, G.inverses, ker_b.elements, im_bp.elements):
         raise StructureViolation("kernel is not normal in the companion image")
-    if not _is_normal_within(G, ker_bp, im_b):
+    if not _normal_in(t, G.inverses, ker_bp.elements, im_b.elements):
         raise StructureViolation("companion kernel is not normal in the image")
 
     src_q, src = _coset_quotient(G, im_bp.elements, ker_b)
@@ -201,7 +211,7 @@ def structure_report(op: RBOperator) -> StructureReport:
     if GroupMap.plain(src_q, dst_q, iso).hom_defect() is not None:
         raise StructureViolation("quotient map is not multiplicative")
 
-    covered = G.np_table()[np.ix_(im_bp.elements, im_b.elements)]
+    covered = t[np.ix_(im_bp.elements, im_b.elements)]
     if len(np.unique(covered)) != G.order:
         raise StructureViolation("images do not multiply out to the whole group")
 

@@ -190,7 +190,11 @@ def bracket_nonzero_count(ring: GradedLieRing) -> int:
 
 def preserves_lower_central(op: RBOperator) -> bool:
     """Whether the operator maps every series term into itself."""
-    series = lower_central_series(op.group)
+    return _preserves(op, lower_central_series(op.group))
+
+
+def _preserves(op: RBOperator, series: Sequence[Subgroup]) -> bool:
+    """Whether the operator maps every term of the given series into itself."""
     return all(
         all(op(x) in term for x in term.elements) for term in series
     )
@@ -212,7 +216,8 @@ def induced_rb(ring: GradedLieRing, op: RBOperator) -> InducedRB:
     """Push a series-preserving operator down to the layers.
 
     Refuses with PreconditionFailed when the operator is invalid, has
-    the wrong weight, or moves some series term off itself.  Each layer
+    the wrong weight, or moves some term of `ring.series` off itself (the
+    series is read off the ring, not computed again).  Each layer
     map is read at one element per coset, by theorem (2) of the module
     docstring: for x in G_n and k in G_{n+1}, the defining identity gives
     B(xk) = B(x) B(B(x)^-1 k B(x)), and B(x)^-1 k B(x) lies in G_{n+1},
@@ -224,7 +229,7 @@ def induced_rb(ring: GradedLieRing, op: RBOperator) -> InducedRB:
         raise PreconditionFailed("graded push-down needs weight +1")
     if not verify(op):
         raise PreconditionFailed(f"operator is invalid: witness {op.verified}")
-    if not preserves_lower_central(op):
+    if not _preserves(op, ring.series):
         raise PreconditionFailed("operator does not preserve the series terms")
     maps = tuple(tuple(layer.projection[op(x)] for x in _representatives(layer))
                  for layer in ring.layers)

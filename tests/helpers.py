@@ -275,10 +275,13 @@ def reference_closure_words(G, gens, images, word_pair):
     return found
 
 
-def reference_power_product(G, parts, r):
-    """The plain power product at (g_0, ..., g_{n-1}) for a matrix r over
+def reference_power_product(G, parts, r, psis=None):
+    """The power product at (g_0, ..., g_{n-1}) for a matrix r over
     {-1, 0, 1}: component i is g_i^r_ii g_(i-1)^r_(i-1)i ... g_0^r_0i,
-    each factor read off the table and the inverses."""
+    each factor read off the table and the inverses.  With automorphisms
+    psis (n - 1 maps), the nested twists are multiplied out: factor s of
+    component i is g_s^r_si sent through psis[s], then psis[s+1], up to
+    psis[i-1]."""
     t = G.table
 
     def power(g, k):
@@ -288,7 +291,10 @@ def reference_power_product(G, parts, r):
     for i in range(len(parts)):
         acc = G.identity
         for s in range(i, -1, -1):
-            acc = t[acc][power(parts[s], r[s][i])]
+            x = power(parts[s], r[s][i])
+            for k in range(s, i) if psis is not None else ():
+                x = psis[k](x)
+            acc = t[acc][x]
         out.append(acc)
     return tuple(out)
 

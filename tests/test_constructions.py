@@ -365,6 +365,21 @@ def test_power_product_matches_reference(s3):
             assert prod.decode(op(x)) == reference_power_product(s3, parts, m.entries)
 
 
+@pytest.mark.parametrize("name", ["S3", "Z2xZ2"])
+def test_twisted_power_product_matches_reference(name):
+    # every n = 3 matrix with three chains of automorphisms, against the
+    # twists multiplied out factor by factor
+    G = corpus_group(name)
+    prod, auts = direct_power(G, 3), automorphisms(G)
+    chains = [(auts[1], auts[-1]), (auts[-1], auts[2]), (auts[3], auts[3])]
+    for m in enumerate_rb_matrices(3):
+        for psis in chains:
+            op = power_product_rb(G, 3, m, psis=psis, prod=prod)
+            for x in prod.group.elements():
+                assert prod.decode(op(x)) == \
+                    reference_power_product(G, prod.decode(x), m.entries, psis)
+
+
 def test_matrix_census_counts():
     with open("tests/goldens/matrix_counts.json") as fh:
         golden = json.load(fh)

@@ -182,6 +182,14 @@ def test_structure_report_on_factorizations(name, count):
             reference_twisted_table(G, B)
 
 
+def test_report_caches_no_twisted_array():
+    # fact (a) is read off a gather from G's array, so the twisted group
+    # the report returns holds no array of its own
+    for op in _factorization_operators("A5"):
+        rep = structure_report(op)
+        assert rep.derived.group._np is None
+
+
 def test_inversion_derived_is_opposite(q8):
     op = elementary(q8, "b_minus1")
     dg = derived_group(op)

@@ -349,6 +349,62 @@ def test_proved_closure_and_twisted_tables():
             _assert_proved(derived_group(op).group)
 
 
+A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: np.zeros((1, 1), dtype=np.int32),
+    lambda: corpus_group("S3").np_table(),
+    lambda: direct_power(corpus_group("S3"), 3).group.np_table(),
+    lambda: wreath_product(corpus_group("Z2"), corpus_group("S3")).group.np_table(),
+    lambda: from_permutations(A6_GENS).np_table(),
+    lambda: np.array(relabel(corpus_group("S3"), [3, 4, 5, 0, 1, 2])),
+    lambda: np.array(relabel(corpus_group("A5"), [(g + 30) % 60 for g in range(60)])),
+], ids=["n1", "n6", "n216", "n384", "A6", "S3-e3", "A5-e30"])
+def test_proved_from_arrays(build):
+    # the identity and inverses read off an array, by Python scans up to
+    # order 24 and by numpy above it, against the plain-loop reference,
+    # also where the identity is not 0; about 3 s each at orders 360 and
+    # 384
+    t = build()
+    G = groups.FiniteGroup._proved(t)
+    assert G.table == tuple(map(tuple, t.tolist()))
+    _assert_proved(G)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wreath_product(corpus_group("Z2"), corpus_group("S3")).group,
+    lambda: from_permutations(A6_GENS),
+], ids=["n384", "A6"])
+def test_proved_tables_share_ids(build):
+    # above order 256, where CPython no longer shares small ints, the
+    # table still holds one int object per element id, and so do the
+    # inverses
+    G = build()
+    n = G.order
+    assert n > 256
+    assert len({id(x) for row in G.table for x in row}) == n
+    assert {id(x) for x in G.inverses} <= {id(x) for x in G.table[G.identity]}
+
+
+@pytest.mark.parametrize("names", [("Z2", "S3", "Z4"), ("Z1", "S3", "Z1"), ("S3", "Z3'")])
+def test_direct_product_maps_match_coding(names):
+    # the maps and coordinate arrays are the element coding, one element
+    # at a time; Z3' is Z3 relabeled so that its identity is 2
+    z3 = from_cayley_table(relabel(corpus_group("Z3"), [2, 0, 1]))
+    factors = [z3 if name == "Z3'" else corpus_group(name) for name in names]
+    prod = DirectProduct(factors)
+    P, ids = prod.group, [F.identity for F in factors]
+    for x in P.elements():
+        assert tuple(prod.coords[:, x]) == prod.decode(x)
+        assert int(prod.weights @ prod.coords[:, x]) == x
+        assert tuple(p(x) for p in prod.projections) == prod.decode(x)
+    for i, (F, inj) in enumerate(zip(factors, prod.injections)):
+        for g in F.elements():
+            assert inj(g) == prod.encode(ids[:i] + [g] + ids[i + 1:])
+        assert inj.bijective == prod.projections[i].bijective == (F.order == P.order)
+
+
 def test_built_groups_run_no_validation(monkeypatch):
     # validation is for tables from outside: what the library builds
     # from a theorem or a closure is not validated again
@@ -498,6 +554,20 @@ def test_is_normal_agrees_with_conjugation_loop(name):
     whole = Subgroup(G, G.elements())
     for S in all_subgroups(G):
         assert is_normal(S) == groups._is_normal_within(G, S, whole)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4", "S4"])
+def test_normal_within_gather_agrees_with_loop(name):
+    # the gather the structure report uses for normality inside a
+    # subgroup, against the census's conjugation loop, on every pair
+    G = corpus_group(name)
+    subs = all_subgroups(G)
+    for inner in subs:
+        for outer in subs:
+            if inner.as_set() <= outer.as_set():
+                assert groups._normal_in(G.np_table(), G.inverses, inner.elements,
+                                         outer.elements) == \
+                    groups._is_normal_within(G, inner, outer)
 
 
 def test_quotient(s3, d4):

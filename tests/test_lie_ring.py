@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from helpers import reference_lie_verdict
+from helpers import counting, reference_lie_verdict
+from rbgroups import lie_ring
 from rbgroups.constructions import central_conjugation
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
@@ -189,3 +190,15 @@ def test_lie_verdicts_match_whole_ring_reference(name):
     assert [(v.valid, v.witness) for v in verdicts] == \
         [reference_lie_verdict(ind) for ind in inds]
     assert {v.witness[-1] for v in verdicts if not v} == {"additivity", "identity"}
+
+
+def test_induced_reads_the_ring_series(monkeypatch, heis3):
+    # the series is computed once, by the ring; pushing each central
+    # conjugation down reads it off the ring
+    calls = {"series": 0}
+    monkeypatch.setattr(lie_ring, "lower_central_series",
+                        counting(calls, "series", lie_ring.lower_central_series))
+    ring = graded_lie_ring(heis3)
+    for g in heis3.elements():
+        assert verify_lie_rb(induced_rb(ring, central_conjugation(heis3, g)))
+    assert calls == {"series": 1}
