@@ -289,16 +289,12 @@ def direct_product_rb(prod: DirectProduct,
             raise InvalidInput("componentwise construction needs weight +1")
         if not verify(op):
             raise InvalidInput(f"factor operator is invalid: witness {op.verified}")
-    G = prod.group
-    images = [
-        prod.encode([op.images[x] for op, x in zip(ops, prod.decode(g))])
-        for g in G.elements()
-    ]
-    return _wrap_valid(G, images, 1, "componentwise construction")
+    comps = [np.array(op.images)[c] for op, c in zip(ops, prod.coords)]
+    images = (prod.weights @ np.array(comps)).tolist()
+    return _wrap_valid(prod.group, images, 1, "componentwise construction")
 
 
-def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
-               prod: Optional[DirectProduct] = None) -> RBOperator:
+def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain") -> RBOperator:
     """The shift-and-accumulate operators on G^n.
 
     plain: component i becomes the product g_{i-1} g_{i-2} ... g_1 (so
@@ -307,21 +303,16 @@ def cascade_rb(G: FiniteGroup, n: int, variant: str = "plain",
     the tilde involution.  Both are power products (`power_product_rb`)
     with r_si = [s < i] for plain and r_si = -[s <= i] for tilde.  Both
     matrices pass `rb_matrix_check` for every n (the tests check n <= 3),
-    so it is not run here.
+    so it is not run here.  The operator acts on `direct_power(G, n)`.
     """
     if variant not in ("plain", "tilde"):
         raise InvalidInput(f"variant must be 'plain' or 'tilde', got {variant!r}")
     if n < 1:
         raise InvalidInput("cascade needs n >= 1")
-    if prod is None:
-        # built before the n x n matrix, so its limit on the number of
-        # factors refuses a huge n first
-        prod = direct_power(G, n)
-    if variant == "plain":
-        r = [[int(s < i) for i in range(n)] for s in range(n)]
-    else:
-        r = [[-int(s <= i) for i in range(n)] for s in range(n)]
-    return _power_product(G, n, r, None, prod)
+    prod = direct_power(G, n)  # first: its limit on the factors refuses a huge n
+    plain = variant == "plain"
+    r = [[int(s < i) if plain else -int(s <= i) for i in range(n)] for s in range(n)]
+    return _power_product(prod, r, None)
 
 
 @dataclass(frozen=True)
@@ -437,8 +428,7 @@ def enumerate_rb_matrices(n: int) -> list[RBMatrix]:
 
 
 def power_product_rb(G: FiniteGroup, n: int, r,
-                     psis: Optional[Sequence[GroupMap]] = None,
-                     prod: Optional[DirectProduct] = None) -> RBOperator:
+                     psis: Optional[Sequence[GroupMap]] = None) -> RBOperator:
     """The matrix-driven operator on G^n: component i collects the factors
     g_s^{r_si} for s = i down to 1.
 
@@ -446,9 +436,10 @@ def power_product_rb(G: FiniteGroup, n: int, r,
     the next one multiplies in; the twisted map is the plain map
     conjugated by the diagonal automorphism built from the psi chain.
 
-    The images of all elements are computed at once from the product's
-    coordinate array (`DirectProduct.coords`): per matrix entry r_si,
-    one gather of the powers g_s^r_si and one of the table against the
+    The operator acts on `direct_power(G, n)`, so the calls on one G share
+    one G^n.  The images of all elements are computed at once from its
+    coordinate array (`DirectProduct.coords`): per matrix entry r_si, one
+    gather of the powers g_s^r_si and one of the table against the
     (twisted) running product, then one mixed-radix combine of the
     components.  The result gets the one full check, as every
     construction does.
@@ -460,18 +451,14 @@ def power_product_rb(G: FiniteGroup, n: int, r,
         raise InvalidMatrix("matrix must be upper-triangular")
     if not rb_matrix_check(m):
         raise InvalidMatrix("matrix fails the split-algebra conditions")
-    return _power_product(G, n, m.entries, psis, prod)
+    return _power_product(direct_power(G, n), m.entries, psis)
 
 
-def _power_product(G: FiniteGroup, n: int, r: Sequence[Sequence[int]],
-                   psis: Optional[Sequence[GroupMap]],
-                   prod: Optional[DirectProduct]) -> RBOperator:
-    """`power_product_rb` for a matrix r that passes its checks.  Without
-    psis every twist is the identity, which gives the plain product."""
-    if prod is None:
-        prod = direct_power(G, n)
-    elif len(prod.factors) != n or any(F is not G for F in prod.factors):
-        raise InvalidInput("product does not match the requested power")
+def _power_product(prod: DirectProduct, r: Sequence[Sequence[int]],
+                   psis: Optional[Sequence[GroupMap]]) -> RBOperator:
+    """`power_product_rb` on prod = G^n, for a matrix r that passes its
+    checks.  Without psis every twist is the identity: the plain product."""
+    G, n = prod.factors[0], len(prod.factors)
     if psis is not None:
         if len(psis) != n - 1:
             raise InvalidInput("need one automorphism per component from the second")
@@ -506,11 +493,8 @@ def nonsplitting_witness(H: FiniteGroup, L: FiniteGroup) -> RBOperator:
     if H.order == 1:
         raise TrivialH("witness degenerates to the trivial operator")
     prod = DirectProduct((H, H, L))
-    e_h, e_l = H.identity, L.identity
-    images = []
-    for x in prod.group.elements():
-        h1, _, _ = prod.decode(x)
-        images.append(prod.encode((e_h, h1, e_l)))
+    w = prod.weights
+    images = (w[0] * H.identity + w[1] * prod.coords[0] + w[2] * L.identity).tolist()
     return _wrap_valid(prod.group, images, 1, "non-splitting witness")
 
 
@@ -529,17 +513,19 @@ def wreath_rb(W: WreathProduct, variant: str,
     (phi(l), e) for an endomorphism phi of an abelian L.  componentwise:
     (l, f) -> (B_L(l), B_base(f)) when the shift action is trivial,
     i.e. when L or H is trivial; B_base acts on the base group coded as
-    the direct power of H over L.
+    the direct power of H over L, which numbers the functions as W does.
+    Each variant gathers all images at once from W's coding.
     """
     G = W.group
     L, H = W.L, W.H
+    base_size = W.base_size
+
+    def pairs(top, base) -> list:  # images (top[l], base[i]) of (l, i)
+        return (np.asarray(top)[:, None] * base_size + np.asarray(base)).ravel().tolist()
+
     if variant == "inverse_base":
-        images = []
-        for x in G.elements():
-            l, f = W.decode(x)
-            finv = tuple(H.inverses[v] for v in f)
-            images.append(W.encode(L.identity, finv))
-        return _wrap_valid(G, images, 1, "base inversion")
+        finv = W.weights @ np.array(H.inverses)[W.digits]
+        return _wrap_valid(G, pairs([L.identity] * L.order, finv), 1, "base inversion")
 
     if variant == "top_endo":
         if not L.is_abelian:
@@ -548,12 +534,8 @@ def wreath_rb(W: WreathProduct, variant: str,
             raise InvalidInput("need an endomorphism of the top group")
         if not phi.homomorphism:
             raise InvalidInput("top map must be a verified homomorphism")
-        trivial_f = (H.identity,) * L.order
-        images = []
-        for x in G.elements():
-            l, _ = W.decode(x)
-            images.append(W.encode(phi(l), trivial_f))
-        return _wrap_valid(G, images, 1, "top endomorphism")
+        trivial_f = [H.identity * int(W.weights.sum())] * base_size
+        return _wrap_valid(G, pairs(phi.images, trivial_f), 1, "top endomorphism")
 
     if variant == "componentwise":
         if L.order > 1 and H.order > 1:
@@ -571,11 +553,7 @@ def wreath_rb(W: WreathProduct, variant: str,
             )
         if not verify(b_base) or b_base.weight != 1:
             raise InvalidInput("base operator must be valid at weight +1")
-        images = []
-        for x in G.elements():
-            l, f = W.decode(x)
-            fb = base.decode(b_base(base.encode(f)))
-            images.append(W.encode(b_top(l), fb))
-        return _wrap_valid(G, images, 1, "componentwise wreath")
+        # base and W number the functions alike, so b_base acts on the codes
+        return _wrap_valid(G, pairs(b_top.images, b_base.images), 1, "componentwise wreath")
 
     raise InvalidInput(f"unknown wreath variant {variant!r}")

@@ -8,10 +8,11 @@ the new group to the old one and stays a valid operator on the new
 group (Guo-Lang-Sheng, arXiv:2009.03492); under the check policy of
 `operators` these theorems are not checked at run time.  The structure
 report still checks its four facts: reporting them is what it is for.
-The twisted table is one gather over G's table; the report reads its
-facts off tables, the quotient tables among them (loops, as `groups`
-explains).  It checks fact (a) on that gather as an array, not through
-`is_normal` on the twisted group, which would cache the array on it.
+The twisted table is one gather over G's table, and each operator has
+one twisted group, memoized on it, which the report returns.  The report
+reads its facts off tables, the quotient tables among them (loops, as
+`groups` explains).  It checks fact (a) on a second gather as an array,
+not through `is_normal`, which would cache the array on the group.
 """
 
 from __future__ import annotations
@@ -80,18 +81,20 @@ class DerivedGroup:
 
 
 def derived_group(op: RBOperator) -> DerivedGroup:
-    """Build (G, .) for the twisted product.
+    """(G, .) for the twisted product, memoized on a valid operator.
 
     The twisted product of a valid operator is a group (Guo-Lang-Sheng),
     so its table is built unchecked, through `FiniteGroup._proved`.
     """
-    _require_valid(op)
-    if op.weight != 1:
-        raise InvalidInput("derived product is defined at weight +1")
-    G = op.group
-    twisted = FiniteGroup._proved(_twisted_table(op),
-                                  name=f"{G.name}_B" if G.name else "", labels=G.labels)
-    return DerivedGroup(G, op, twisted)
+    if op._derived is None:
+        _require_valid(op)
+        if op.weight != 1:
+            raise InvalidInput("derived product is defined at weight +1")
+        G = op.group
+        twisted = FiniteGroup._proved(_twisted_table(op), labels=G.labels,
+                                      name=f"{G.name}_B" if G.name else "")
+        op._derived = DerivedGroup(G, op, twisted)
+    return op._derived
 
 
 def _twisted_table(op: RBOperator) -> np.ndarray:

@@ -31,7 +31,9 @@ with OrderCapExceeded and before allocating a table, any group above
 `order_cap()` (2048, or the RBG_ORDER_CAP environment variable), and
 `DirectProduct` refuses more factors than that limit.  Every other
 proved table is no larger than a group that has passed the limit, so no
-other function checks the order.
+other function checks the order.  `direct_power` memoizes G^n on G and
+checks the limit on every call, before it reads the memo; for |G| >= 2
+the memoized tables hold at most 4/3 of the largest one.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
 fixed order: ragged rows and out-of-range entries, every row a
@@ -286,6 +288,7 @@ class FiniteGroup:
         "_abelian",
         "_center",
         "_derived",
+        "_powers",
     )
 
     def __init__(
@@ -314,6 +317,7 @@ class FiniteGroup:
         self._abelian = None
         self._center = None
         self._derived = None
+        self._powers = None
 
     @classmethod
     def _proved(cls, table, name: str = "",
@@ -942,7 +946,17 @@ def _digits(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     for i in range(len(orders) - 2, -1, -1):
         weights[i] = weights[i + 1] * orders[i + 1]
     coords = np.arange(math.prod(orders))[None, :] // weights[:, None]
-    return weights, coords % np.array(orders, dtype=np.int64)[:, None]
+    coords %= np.array(orders, dtype=np.int64)[:, None]
+    weights.flags.writeable = coords.flags.writeable = False  # shared through memos
+    return weights, coords
+
+
+def _require_product(orders: Sequence[int]) -> None:
+    """The limit on a product: first on the count of factors, since each
+    costs a coordinate per element, then on the running order."""
+    _require_order(len(orders), f"a product of {len(orders)} factors")
+    for total in itertools.accumulate(orders, lambda a, b: a * b):
+        _require_order(total, "product order")
 
 
 def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -964,14 +978,8 @@ class DirectProduct:
     """
 
     def __init__(self, factors: Sequence[FiniteGroup], name: str = ""):
-        # a trivial factor leaves the order alone, so the count of factors
-        # needs its own bound: each one costs a coordinate per element
-        _require_order(len(factors), f"a product of {len(factors)} factors")
         orders = [F.order for F in factors]
-        total = 1
-        for o in orders:
-            total *= o
-            _require_order(total, "product order")
+        _require_product(orders)
         self.factors = tuple(factors)
         self.encode, self.decode = _mixed_radix_maps(orders)
         self.weights, self.coords = _digits(orders)
@@ -997,10 +1005,16 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProduct:
 
 
 def direct_power(G: FiniteGroup, n: int) -> DirectProduct:
+    """G^n, built once per (G, n) and memoized on G; the limit is checked
+    on every call, before the memo is read."""
     if n < 1:
         raise InvalidInput("direct power needs n >= 1")
-    name = f"{G.name}^{n}" if G.name else ""
-    return DirectProduct((G,) * n, name=name)
+    _require_product([G.order] * n)
+    if G._powers is None:
+        G._powers = {}
+    if n not in G._powers:
+        G._powers[n] = DirectProduct((G,) * n, name=f"{G.name}^{n}" if G.name else "")
+    return G._powers[n]
 
 
 class SemidirectProduct:
@@ -1059,6 +1073,8 @@ class WreathProduct:
 
     The product is (l, f)(l', f') = (l l', x -> f(l' x) * f'(x)), so the
     base group of functions is normal and L permutes it by left shifts.
+    (l, f) is l * base_size + i for the function f numbered i, whose
+    values f(x) are `digits[x, i]`, with place values `weights`.
     """
 
     def __init__(self, H: FiniteGroup, L: FiniteGroup, name: str = ""):
@@ -1081,7 +1097,7 @@ class WreathProduct:
         # funs[i, x] = f(x) for the function f numbered i; shifted[i, l'] numbers
         # x -> f(l' x), so the base part of (l, f)(l', f') is base_table[shifted, f'].
         LT = L.np_table()
-        weights, digits = _digits([H.order] * L.order)
+        self.weights, self.digits = weights, digits = _digits([H.order] * L.order)
         shifted = digits.T[:, LT] @ weights
         base_table = _product_table([H.np_table()] * L.order)
         table = LT[:, None, :, None] * base + base_table[shifted][None]

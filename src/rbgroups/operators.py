@@ -69,10 +69,11 @@ class RBOperator:
     """A candidate Rota-Baxter operator: a group, an image array, a weight.
 
     `verified` is a tri-state: None (unchecked), True (valid), or the
-    first failing pair (g, h).  Use `verify` to settle it.
+    first failing pair (g, h).  Use `verify` to settle it.  `_derived` is
+    the memo of `derived.derived_group`.
     """
 
-    __slots__ = ("group", "images", "weight", "verified")
+    __slots__ = ("group", "images", "weight", "verified", "_derived")
 
     def __init__(self, group: FiniteGroup, images: Sequence[int], weight: int = 1):
         if weight not in (1, -1):
@@ -85,6 +86,7 @@ class RBOperator:
         self.images = imgs
         self.weight = weight
         self.verified = None
+        self._derived = None
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -286,6 +288,7 @@ def _proved(group: FiniteGroup, images: Sequence[int], weight: int) -> RBOperato
     out.images = tuple(images)
     out.weight = weight
     out.verified = True
+    out._derived = None
     return out
 
 

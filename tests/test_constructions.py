@@ -3,7 +3,7 @@ import json
 import pytest
 
 from helpers import counting, reference_power_product
-from rbgroups import constructions, operators
+from rbgroups import constructions, groups, operators
 from rbgroups.constructions import (
     affine_map_check,
     cascade_rb,
@@ -24,6 +24,7 @@ from rbgroups.constructions import (
 )
 from rbgroups.corpus import corpus_group
 from rbgroups.derived import derived_group
+from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import (
     CommutationFails,
     DecompositionNotUnique,
@@ -37,13 +38,16 @@ from rbgroups.errors import (
     TrivialH,
 )
 from rbgroups.groups import (
+    DirectProduct,
     GroupMap,
     Subgroup,
+    all_homomorphisms,
     automorphisms,
     center,
     direct_power,
     direct_product,
     exact_factorizations,
+    from_cayley_table,
     is_isomorphic,
     opposite_group,
     semidirect_product,
@@ -286,7 +290,6 @@ def test_cascade_plain(s3):
 def test_cascade_verifies_once(s3, monkeypatch):
     # only the requested variant is built and checked: one verify
     # decision, and no scan for a witness, since the operator is valid
-    prod = direct_power(s3, 2)
     calls = {"decide": 0, "defect": 0}
     monkeypatch.setattr(operators, "_decide",
                         counting(calls, "decide", operators._decide))
@@ -294,17 +297,17 @@ def test_cascade_verifies_once(s3, monkeypatch):
                         counting(calls, "defect", operators._first_defect))
     for variant in ("plain", "tilde"):
         calls.update(decide=0, defect=0)
-        cascade_rb(s3, 2, variant, prod=prod)
+        cascade_rb(s3, 2, variant)
         assert calls == {"decide": 1, "defect": 0}
 
 
 def test_cascade_components(s3):
     prod = direct_power(s3, 3)
-    op = cascade_rb(s3, 3, prod=prod)
+    op = cascade_rb(s3, 3)
     for g in prod.group.elements():
         g1, g2, g3 = prod.decode(g)
         assert prod.decode(op(g)) == (0, g1, s3.mul(g2, g1))
-    top = cascade_rb(s3, 3, "tilde", prod=prod)
+    top = cascade_rb(s3, 3, "tilde")
     assert tilde(op).images == top.images
     for g in prod.group.elements():
         g1, g2, g3 = prod.decode(g)
@@ -337,7 +340,7 @@ def test_cascade_is_a_power_product(monkeypatch, name):
             r = _cascade_matrix(n, variant)
             assert rb_matrix_check(r) and split_algebra_rb_check(r)
             calls["matrix"] = 0
-            op = cascade_rb(G, n, variant, prod=prod)
+            op = cascade_rb(G, n, variant)
             assert calls == {"matrix": 0}
             for x in prod.group.elements():
                 parts = prod.decode(x)
@@ -349,8 +352,6 @@ def test_cascade_argument_errors(s3):
         cascade_rb(s3, 2, "mirror")
     with pytest.raises(InvalidInput, match="n >= 1"):
         cascade_rb(s3, 0)
-    with pytest.raises(InvalidInput, match="requested power"):
-        cascade_rb(s3, 3, prod=direct_power(s3, 2))
     with pytest.raises(OrderCapExceeded):
         cascade_rb(s3, 1000)
 
@@ -359,7 +360,8 @@ def test_power_product_matches_reference(s3):
     # every n = 3 matrix on S3^3, against the product read off directly
     prod = direct_power(s3, 3)
     for m in enumerate_rb_matrices(3):
-        op = power_product_rb(s3, 3, m, prod=prod)
+        op = power_product_rb(s3, 3, m)
+        assert op.group is prod.group
         for x in prod.group.elements():
             parts = prod.decode(x)
             assert prod.decode(op(x)) == reference_power_product(s3, parts, m.entries)
@@ -374,10 +376,30 @@ def test_twisted_power_product_matches_reference(name):
     chains = [(auts[1], auts[-1]), (auts[-1], auts[2]), (auts[3], auts[3])]
     for m in enumerate_rb_matrices(3):
         for psis in chains:
-            op = power_product_rb(G, 3, m, psis=psis, prod=prod)
+            op = power_product_rb(G, 3, m, psis=psis)
             for x in prod.group.elements():
                 assert prod.decode(op(x)) == \
                     reference_power_product(G, prod.decode(x), m.entries, psis)
+
+
+def test_power_products_share_one_power(monkeypatch):
+    # all 48 n = 3 power products and the cascade on a fresh S3 act on the
+    # one S3^3 memoized on it, whose table is built once; the images equal
+    # those of a product built directly
+    s3 = corpus_group("S3")
+    fresh = from_cayley_table(s3.table, name="S3")
+    calls = {"table": 0}
+    monkeypatch.setattr(groups, "_product_table",
+                        counting(calls, "table", groups._product_table))
+    ops = [power_product_rb(fresh, 3, m) for m in enumerate_rb_matrices(3)]
+    ops.append(cascade_rb(fresh, 3))
+    assert calls == {"table": 1}
+    assert len(ops) == 49 and all(op.group is direct_power(fresh, 3).group for op in ops)
+    direct = DirectProduct((fresh,) * 3)
+    assert direct.group.table == ops[0].group.table
+    for op, m in zip(ops, enumerate_rb_matrices(3)):
+        assert op.images == constructions._power_product(direct, m.entries, None).images
+    assert ops[-1].images == cascade_rb(s3, 3).images
 
 
 def test_matrix_census_counts():
@@ -462,9 +484,33 @@ def test_power_product_twist_is_a_conjugate(s3):
                 prod.encode([chain[i][x] for i, x in enumerate(prod.decode(g))])
                 for g in P.elements()
             ])
-            plain = power_product_rb(s3, n, m, prod=prod)
-            twisted = power_product_rb(s3, n, m, psis=psis, prod=prod)
+            plain = power_product_rb(s3, n, m)
+            twisted = power_product_rb(s3, n, m, psis=psis)
             assert twisted.images == conjugate(plain, phi).images
+
+
+@pytest.mark.parametrize("names", [("S3", "Z4"), ("Z2", "S3", "Z2"), ("Z1", "D4")])
+def test_direct_product_rb_matches_coding(names):
+    # the gathered images, against the element coding one element at a time
+    factors = [corpus_group(name) for name in names]
+    prod = DirectProduct(factors)
+    censuses = [graph_enumerate(F).operators for F in factors]
+    for k in range(max(map(len, censuses))):
+        ops = [c[(k * (i + 1)) % len(c)] for i, c in enumerate(censuses)]
+        op = direct_product_rb(prod, ops)
+        assert list(op.images) == [
+            prod.encode([B(x) for B, x in zip(ops, prod.decode(g))])
+            for g in prod.group.elements()]
+
+
+@pytest.mark.parametrize("h, l", [("Z2", "Z3"), ("S3", "Z2"), ("Z3", "Z1"), ("Q8", "Z2")])
+def test_nonsplitting_witness_matches_coding(h, l):
+    H, L = corpus_group(h), corpus_group(l)
+    op = nonsplitting_witness(H, L)
+    prod = DirectProduct((H, H, L))
+    assert op.group.table == prod.group.table
+    assert list(op.images) == [prod.encode((H.identity, prod.decode(x)[0], L.identity))
+                               for x in prod.group.elements()]
 
 
 def test_nonsplitting_witness(z4):
@@ -496,6 +542,34 @@ def test_wreath_top_endo():
     assert op.images == (0,) * 8
     op2 = wreath_rb(W, "top_endo", phi=GroupMap.hom(z2, z2, [0, 1]))
     assert verify(op2)
+
+
+@pytest.mark.parametrize("h, l", [("Z2", "Z2"), ("Z2", "S3"), ("S3", "Z2"), ("Z2", "Z3"),
+                                  ("Z4", "Z1"), ("Z1", "S3"), ("Z2xZ2", "Z1")])
+def test_wreath_images_match_coding(h, l):
+    # each variant's gathered images, against the element coding one
+    # element at a time
+    H, L = corpus_group(h), corpus_group(l)
+    W = wreath_product(H, L)
+
+    def coded(image):
+        return [image(*W.decode(x)) for x in W.group.elements()]
+
+    op = wreath_rb(W, "inverse_base")
+    assert list(op.images) == coded(
+        lambda _, f: W.encode(L.identity, tuple(H.inverses[v] for v in f)))
+    if L.is_abelian:
+        for phi in all_homomorphisms(L, L):
+            op = wreath_rb(W, "top_endo", phi=phi)
+            assert list(op.images) == coded(
+                lambda top, _: W.encode(phi(top), (H.identity,) * L.order))
+    if H.order == 1 or L.order == 1:
+        base = direct_power(H, L.order)
+        for b_top in graph_enumerate(L).operators:
+            for b_base in graph_enumerate(base.group).operators:
+                op = wreath_rb(W, "componentwise", b_top=b_top, b_base=b_base)
+                assert list(op.images) == coded(lambda top, f: W.encode(
+                    b_top(top), base.decode(b_base(base.encode(f)))))
 
 
 def test_wreath_top_endo_needs_abelian_top(s3):

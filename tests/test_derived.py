@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import counting, reference_twisted_table, reference_verify
-from rbgroups import operators
+from rbgroups import derived, operators
 from rbgroups.constructions import splitting_from_factorization
 from rbgroups.corpus import corpus_group
 from rbgroups.derived import (
@@ -12,8 +12,8 @@ from rbgroups.derived import (
 )
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
-from rbgroups.groups import all_subgroups, exact_factorizations, is_isomorphic
-from rbgroups.operators import elementary, rb_operator, verify
+from rbgroups.groups import all_subgroups, automorphisms, exact_factorizations, is_isomorphic
+from rbgroups.operators import conjugate, elementary, rb_operator, tilde, verify
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,37 @@ def test_report_caches_no_twisted_array():
     for op in _factorization_operators("A5"):
         rep = structure_report(op)
         assert rep.derived.group._np is None
+
+
+def test_derived_group_memoized(monkeypatch):
+    # one twisted group per operator: the report reads the one
+    # derived_group built, and gathers the twisted table once more for
+    # fact (a), so derived_group then structure_report make two gathers
+    calls = {"twisted": 0}
+    monkeypatch.setattr(derived, "_twisted_table",
+                        counting(calls, "twisted", derived._twisted_table))
+    for op in _factorization_operators("S4")[::9]:
+        calls["twisted"] = 0
+        dg = derived_group(op)
+        assert derived_group(op) is dg and op._derived is dg
+        assert structure_report(op).derived is dg
+        assert calls == {"twisted": 2}
+
+
+def test_derived_group_memo_starts_empty():
+    # built operators carry no twisted group until derived_group runs, and
+    # an invalid operator is refused every time, with nothing memoized
+    census = graph_enumerate(corpus_group("S3"))
+    G = census.group
+    phi = automorphisms(G)[1]
+    for op in census.operators:
+        assert op._derived is None
+        assert tilde(op)._derived is None and conjugate(op, phi)._derived is None
+    bad = rb_operator(G, [0, 1, 2, 3, 4, 5])
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            derived_group(bad)
+        assert bad._derived is None
 
 
 def test_inversion_derived_is_opposite(q8):

@@ -327,8 +327,8 @@ def test_proved_subgroup_tables(name):
 
 
 def test_proved_product_tables():
-    # the reference's O(n^3) scan takes about 5 s on Z2 wr S3 (order
-    # 384), so the wreath constructor is checked on two smaller products
+    # every product constructor; Z2 wr S3 (order 384) is checked in
+    # test_proved_from_arrays
     z2, z3, z4, s3 = (corpus_group(name) for name in ("Z2", "Z3", "Z4", "S3"))
     for G in (direct_power(s3, 3).group, wreath_product(s3, z2).group,
               wreath_product(z2, z3).group,
@@ -364,8 +364,7 @@ A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
 def test_proved_from_arrays(build):
     # the identity and inverses read off an array, by Python scans up to
     # order 24 and by numpy above it, against the plain-loop reference,
-    # also where the identity is not 0; about 3 s each at orders 360 and
-    # 384
+    # also where the identity is not 0
     t = build()
     G = groups.FiniteGroup._proved(t)
     assert G.table == tuple(map(tuple, t.tolist()))
@@ -923,6 +922,38 @@ def test_order_cap_bounds_factor_count(monkeypatch):
     with pytest.raises(OrderCapExceeded):
         direct_power(z1, 11)
     assert calls == {"table": 0}
+
+
+def test_direct_power_memoized(s3):
+    # one G^n per (G, n), memoized on G: a separately built copy of S3
+    # shares no power with the corpus S3
+    cube = direct_power(s3, 3)
+    assert direct_power(s3, 3) is cube and s3._powers[3] is cube
+    assert direct_power(s3, 2) is not cube
+    copy = from_cayley_table(s3.table, name="S3")
+    assert copy._powers is None
+    other = direct_power(copy, 3)
+    assert other is not cube and other.group.table == cube.group.table
+    assert other.factors == (copy,) * 3
+
+
+def test_order_cap_bounds_memoized_powers(monkeypatch):
+    # the limit is checked on every call, before the memo is read: a power
+    # built under the default limit is refused under a lower one, with no
+    # table built
+    s3 = from_cayley_table(corpus_group("S3").table, name="S3")
+    cube = direct_power(s3, 3)
+    calls = {"table": 0}
+    monkeypatch.setattr(groups.FiniteGroup, "_proved",
+                        counting(calls, "table", groups.FiniteGroup._proved))
+    monkeypatch.setenv("RBG_ORDER_CAP", "10")
+    with pytest.raises(OrderCapExceeded, match="^product order exceeds cap 10$"):
+        direct_power(s3, 3)
+    with pytest.raises(OrderCapExceeded, match="^a product of 11 factors exceeds cap 10$"):
+        direct_power(s3, 11)
+    assert calls == {"table": 0}
+    monkeypatch.delenv("RBG_ORDER_CAP")
+    assert direct_power(s3, 3) is cube
 
 
 def test_no_cap_parameter():
