@@ -188,8 +188,9 @@ def hom_to_abelian(G: FiniteGroup, images: Sequence[int],
                    mode: str = "hom") -> RBOperator:
     """An (anti)homomorphism of G into an abelian subgroup of itself.
 
-    Multiplicativity per the mode and commutativity of the image are
-    checked; any such map is a valid weight-+1 operator.
+    Multiplicativity per the mode (`GroupMap.hom_defect`) and
+    commutativity of the image are checked, each by one gather; any such
+    map is a valid weight-+1 operator.
     """
     if mode not in ("hom", "antihom"):
         raise InvalidInput(f"mode must be 'hom' or 'antihom', got {mode!r}")
@@ -197,17 +198,18 @@ def hom_to_abelian(G: FiniteGroup, images: Sequence[int],
     if len(f) != G.order:
         raise InvalidInput("image array length does not match the group order")
     G.check_elements(f)
-    t = G.table
-    for a in G.elements():
-        for b in G.elements():
-            want = t[f[a]][f[b]] if mode == "hom" else t[f[b]][f[a]]
-            if f[t[a][b]] != want:
-                raise NotHomomorphism(f"map is not a {mode} at pair ({a}, {b})")
+    # f(ab) = f(b) f(a) exactly where f(ab)^-1 = f(a)^-1 f(b)^-1: f is an
+    # antihomomorphism where g -> f(g)^-1 is a homomorphism, at the same pairs
+    hom = f if mode == "hom" else [G.inverses[x] for x in f]
+    w = GroupMap.plain(G, G, hom).hom_defect()
+    if w is not None:
+        raise NotHomomorphism(f"map is not a {mode} at pair {w}")
     img = sorted(set(f))
-    for i, x in enumerate(img):
-        for y in img[i + 1:]:
-            if t[x][y] != t[y][x]:
-                raise ImageNotAbelian(f"image elements {x} and {y} do not commute")
+    sub = G.np_table()[np.ix_(img, img)]
+    bad = np.argwhere(sub != sub.T)  # the first row-major pair has x < y
+    if len(bad):
+        x, y = (img[i] for i in bad[0])
+        raise ImageNotAbelian(f"image elements {x} and {y} do not commute")
     return _wrap_valid(G, f, 1, "abelian-image construction")
 
 
@@ -524,7 +526,7 @@ def wreath_rb(W: WreathProduct, variant: str,
         return (np.asarray(top)[:, None] * base_size + np.asarray(base)).ravel().tolist()
 
     if variant == "inverse_base":
-        finv = W.weights @ np.array(H.inverses)[W.digits]
+        finv = W.weights @ np.array(H.inverses)[W.coords]
         return _wrap_valid(G, pairs([L.identity] * L.order, finv), 1, "base inversion")
 
     if variant == "top_endo":

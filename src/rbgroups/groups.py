@@ -2,29 +2,34 @@
 
 Every group in this library is a `FiniteGroup`: a Cayley table together
 with the located identity and the inverse of each element, so downstream
-algorithms never re-check the axioms.  A table from outside (a group
-file, the corpus's literal tables, a caller) goes through
-`from_cayley_table`, which validates it in full.  A table that a theorem
-or a closure proves to be a group is built unchecked by
-`FiniteGroup._proved`: quotients, the direct, semidirect and wreath
-products, repacked subgroups, permutation closures, pair closures and
-twisted groups.  All but the quotients are gathers over the parent's
-`np_table()`, as are `opposite_group`, `center` and `is_normal`.
-`_coset_quotient` and `_is_normal_within` stay loops: a census builds
-hundreds of quotients, most of order 4 or less, where numpy's fixed
-cost outweighs a loop.
+algorithms never re-check the axioms.  `FiniteGroup._proved` is its one
+constructor.  A table from outside (a group file, the corpus's literal
+tables, a caller) goes through `from_cayley_table`, which validates it in
+full and hands the validated integer array to `_proved`.  A table that a
+theorem or a closure proves to be a group goes to `_proved` unchecked:
+quotients, the direct, semidirect and wreath products, repacked
+subgroups, permutation closures, pair closures, twisted groups and
+opposite groups.  All but the quotients are gathers over the parent's
+`np_table()`, as are `center` and `is_normal`.  `_coset_quotient` and
+`_is_normal_within` stay loops: a census builds hundreds of quotients,
+most of order 4 or less, where numpy's fixed cost outweighs a loop.
 
-How a proved array becomes a group.  The rows are made once, as tuples.
+How an array becomes a group.  The rows are made once, as tuples.
 CPython keeps one int object for each of -5..256, so up to order 256
 `tolist()` already shares one object per id.  Above order 256 the rows
 are read through an object array of range(n), a block of rows at a
 time, so each cell refers to the one int made for its id: a table of
-order n holds n ints, not up to n^2 (A7, order 2520: 2520, not 5.7M).
+order n holds n ints, not up to n^2, also when it comes from outside:
+an A7 group file (order 2520) leaves 2520 distinct ints, not 5.7M.
 The identity is the row whose column-0 entry is 0, and the inverse of
 g the column of the identity in row g; `FiniteGroup._proved` says when
-numpy reads them.  The array is not kept.  `DirectProduct` keeps its
-coordinate array, from which its maps and the power products of
-`constructions` are gathered.
+numpy reads them.  The array is not kept.
+
+Every product numbers its elements by one mixed-radix coding, `_digits`,
+kept as `weights` and `coords` (a wreath product codes its base
+functions so, with the top element as the leading digit); its `encode`,
+`decode` and maps, and the operators of `constructions`, read those
+arrays.
 
 `from_cayley_table`, the products and permutation closures refuse,
 with OrderCapExceeded and before allocating a table, any group above
@@ -173,9 +178,9 @@ def _table_rows(table) -> tuple[list[list[int]], np.ndarray]:
     return rows, np.array(rows, dtype=np.int32)
 
 
-def _validate_table(table) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Check the group axioms on a raw table; return (rows, identity, inverses),
-    rows being the table as lists of ints."""
+def _validate_table(table) -> np.ndarray:
+    """Check the group axioms on a raw table; return it as an n x n
+    integer array."""
     rows, t = _table_rows(table)
     n = len(rows)
     # where[0, i, v] is the column of v in row i, where[1, j, v] the row
@@ -199,13 +204,11 @@ def _validate_table(table) -> tuple[list[list[int]], int, tuple[int, ...]]:
 
     _check_light(rows, t, identity)
 
-    # g*x = e for x = right[g], and y*g = e for y = left[g]
-    right = where[0, :, identity].tolist()
-    left = where[1, :, identity].tolist()
-    for g in range(n):
-        if right[g] != left[g]:
-            raise NotAssociative(f"one-sided inverse at element {g}")
-    return rows, identity, tuple(right)
+    # g*x = e for x = where[0, g, e], and y*g = e for y = where[1, g, e]
+    one_sided = where[0, :, identity] != where[1, :, identity]
+    if one_sided.any():
+        raise NotAssociative(f"one-sided inverse at element {int(one_sided.argmax())}")
+    return t
 
 
 def _check_light(rows: list[list[int]], t: np.ndarray, identity: int) -> None:
@@ -272,8 +275,9 @@ class FiniteGroup:
 
     Instances are immutable after construction and safe to share.  Build
     them with `from_cayley_table`, `from_permutations` or one of the
-    product constructors rather than calling __init__ on raw data;
-    `_proved` builds a table a theorem or a closure proves, unchecked.
+    product constructors.  Each of these, and every other table the
+    library makes, ends in `_proved`, the one constructor: a table from
+    outside reaches it only after `from_cayley_table` has validated it.
     """
 
     __slots__ = (
@@ -291,51 +295,24 @@ class FiniteGroup:
         "_powers",
     )
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        identity: int,
-        inverses: Sequence[int],
-        name: str = "",
-        labels: Optional[Sequence[str]] = None,
-    ):
-        self._fill(tuple(tuple(row) for row in table), identity, tuple(inverses),
-                   name, labels)
-
-    def _fill(self, table: tuple[tuple[int, ...], ...], identity: int,
-              inverses: tuple[int, ...], name: str,
-              labels: Optional[Sequence[str]]) -> None:
-        """Set every field from tuple rows and a tuple of inverses, as given."""
-        self.table = table
-        self.order = len(table)
-        self.identity = identity
-        self.inverses = inverses
-        self.name = name
-        self.labels = tuple(labels) if labels is not None else None
-        self._np = None
-        self._orders = None
-        self._abelian = None
-        self._center = None
-        self._derived = None
-        self._powers = None
-
     @classmethod
     def _proved(cls, table, name: str = "",
                 labels: Optional[Sequence[str]] = None) -> "FiniteGroup":
-        """A table proved a group by a theorem or a closure, as rows or an
-        integer array.  Nothing is checked: the identity is the one row e
-        with e*0 = 0, and the inverse of g is the column of e in row g.
+        """A table proved a group by a theorem, a closure or
+        `from_cayley_table`'s checks, as rows or an integer array.  Nothing
+        is checked: the identity is the one row e with e*0 = 0, and the
+        inverse of g is the column of e in row g.
 
-        Rows are read once, by `_id_rows`, and `__init__`'s copy is
-        skipped.  The identity and inverses of an array above order 24 are
-        read by numpy: the argmin of column 0, and per row the argmax of
-        table == e, taken from row e so that the inverses share its int
-        objects.  Smaller arrays and list rows take the Python scans.  The
-        two reads alone, best of 15: Z2 0.6 us by Python against 2.1 us by
-        numpy, S3 0.9 against 2.3, S4 (order 24) 3.7 against 3.5, A5 17.5
-        against 6.6, S3^3 (216) 189 against 29.  The array is not kept as
-        the `np_table()` cache: most proved tables never need it, and a
-        caller holding many groups would hold both forms.
+        Rows are read once, by `_id_rows`.  The identity and inverses of an
+        array above order 24 are read by numpy: the argmin of column 0, and
+        per row the argmax of table == e, taken from row e so that the
+        inverses share its int objects.  Smaller arrays and list rows take
+        the Python scans.  The two reads alone, best of 15: Z2 0.6 us by
+        Python against 2.1 us by numpy, S3 0.9 against 2.3, S4 (order 24)
+        3.7 against 3.5, A5 17.5 against 6.6, S3^3 (216) 189 against 29.
+        The array is not kept as the `np_table()` cache: most proved tables
+        never need it, and a caller holding many groups would hold both
+        forms.
         """
         is_array = isinstance(table, np.ndarray)
         rows = _id_rows(table) if is_array else tuple(map(tuple, table))
@@ -347,7 +324,18 @@ class FiniteGroup:
             e = [row[0] for row in rows].index(0)
             inverses = tuple([row.index(e) for row in rows])
         out = cls.__new__(cls)
-        out._fill(rows, e, inverses, name, labels)
+        out.table = rows
+        out.order = len(rows)
+        out.identity = e
+        out.inverses = inverses
+        out.name = name
+        out.labels = tuple(labels) if labels is not None else None
+        out._np = None
+        out._orders = None
+        out._abelian = None
+        out._center = None
+        out._derived = None
+        out._powers = None
         return out
 
     def __repr__(self):
@@ -446,8 +434,7 @@ def from_cayley_table(
 
     The table is a sequence of rows, or an n x n integer ndarray."""
     _require_order(len(table), f"order {len(table)}")
-    rows, identity, inverses = _validate_table(table)
-    return FiniteGroup(rows, identity, inverses, name=name, labels=labels)
+    return FiniteGroup._proved(_validate_table(table), name=name, labels=labels)
 
 
 def _perm_cycles(p: Sequence[int]) -> str:
@@ -518,8 +505,8 @@ def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGr
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
     """The same elements with the reversed product a*b := G.mul(b, a): the
     transposed table."""
-    return FiniteGroup(G.np_table().T.tolist(), G.identity, G.inverses,
-                       name=f"{G.name}^op" if G.name else "", labels=G.labels)
+    return FiniteGroup._proved(G.np_table().T, name=f"{G.name}^op" if G.name else "",
+                               labels=G.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +890,13 @@ def is_simple(G: FiniteGroup) -> bool:
     """True when G is nontrivial and has no proper nontrivial normal subgroup."""
     if G.order == 1:
         return False
-    e = G.identity
+    # the normal closure of g depends only on g's class: one per class
+    seen = {G.identity}
     for g in G.elements():
-        if g == e:
-            continue
-        if normal_closure(G, g).order != G.order:
-            return False
+        if g not in seen:
+            if normal_closure(G, g).order != G.order:
+                return False
+            seen.update(G.conj(g, x) for x in G.elements())
     return True
 
 
@@ -916,31 +904,11 @@ def is_simple(G: FiniteGroup) -> bool:
 # products
 
 
-def _mixed_radix_maps(orders: Sequence[int]):
-    """Encode/decode tuples over the given factor orders, first factor most
-    significant."""
-    n = len(orders)
-
-    def encode(parts: Sequence[int]) -> int:
-        acc = 0
-        for i in range(n):
-            acc = acc * orders[i] + parts[i]
-        return acc
-
-    def decode(x: int) -> tuple[int, ...]:
-        parts = [0] * n
-        for i in range(n - 1, -1, -1):
-            parts[i] = x % orders[i]
-            x //= orders[i]
-        return tuple(parts)
-
-    return encode, decode
-
-
 def _digits(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, coords) of the numbering of _mixed_radix_maps: x =
-    sum_i weights[i] coords[i, x] with 0 <= coords[i, x] < orders[i].
-    Digits are taken by arithmetic: numpy's (un)ravel_index refuses more
+    """(weights, coords) of the mixed-radix numbering over the given
+    orders, first digit most significant: x = sum_i weights[i] coords[i, x]
+    with 0 <= coords[i, x] < orders[i].  Every product codes its elements
+    so.  Digits are taken by arithmetic: numpy's (un)ravel_index refuses more
     than 64 of them, which a product of trivial factors may have."""
     weights = np.ones(len(orders), dtype=np.int64)
     for i in range(len(orders) - 2, -1, -1):
@@ -960,7 +928,7 @@ def _require_product(orders: Sequence[int]) -> None:
 
 
 def _product_table(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """The direct product of the factor tables, numbered as _mixed_radix_maps."""
+    """The direct product of the factor tables, numbered as `_digits`."""
     out = np.zeros((1, 1), dtype=np.int32)
     for t in tables:
         n, m = len(out), len(t)
@@ -973,20 +941,18 @@ class DirectProduct:
 
     `coords[i, x]` is the component in factor i of element x and
     `weights[i]` the place value of that component, so x is
-    `weights @ coords[:, x]`; `encode` and `decode` are the same coding
-    one element at a time.  Both maps are read off these arrays.
+    `weights @ coords[:, x]`; `encode` and `decode` read the same arrays
+    one element at a time, and so are both maps.
     """
 
     def __init__(self, factors: Sequence[FiniteGroup], name: str = ""):
         orders = [F.order for F in factors]
         _require_product(orders)
         self.factors = tuple(factors)
-        self.encode, self.decode = _mixed_radix_maps(orders)
         self.weights, self.coords = _digits(orders)
         table = _product_table([F.np_table() for F in factors])
-        if not name:
-            parts = [F.name or "?" for F in factors]
-            name = "x".join(parts) if all(F.name for F in factors) else ""
+        if not name and all(F.name for F in factors):
+            name = "x".join(F.name for F in factors)
         self.group = FiniteGroup._proved(table, name=name)
         # homomorphisms by construction, bijective iff the other factors are
         # trivial; injection i moves the identity by g - e_i in place i
@@ -998,6 +964,12 @@ class DirectProduct:
         self.projections = tuple(
             GroupMap._proved(P, F, tuple(c), F.order == P.order)
             for F, c in zip(self.factors, self.coords.tolist()))
+
+    def encode(self, parts: Sequence[int]) -> int:
+        return int(self.weights @ np.array(parts))
+
+    def decode(self, x: int) -> tuple[int, ...]:
+        return tuple(self.coords[:, x].tolist())
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProduct:
@@ -1021,7 +993,8 @@ class SemidirectProduct:
     """H x| L for an action of L on H by automorphisms.
 
     Elements are pairs (h, l) with product (h1, l1)(h2, l2) =
-    (h1 * act(l1)(h2), l1 l2); H embeds as a normal subgroup.
+    (h1 * act(l1)(h2), l1 l2); H embeds as a normal subgroup.  (h, l) is
+    numbered by `_digits` over (|H|, |L|), kept as `weights` and `coords`.
     """
 
     def __init__(self, H: FiniteGroup, L: FiniteGroup,
@@ -1038,28 +1011,25 @@ class SemidirectProduct:
                 raise ActionNotHomomorphism(
                     f"action of element {l} is not an automorphism: {exc}"
                 ) from exc
-        for l1 in L.elements():
-            for l2 in L.elements():
-                lhs = auts[L.table[l1][l2]]
-                rhs = auts[l1].compose(auts[l2])
-                if lhs.images != rhs.images:
-                    raise ActionNotHomomorphism(
-                        f"action is not multiplicative at ({l1}, {l2})"
-                    )
+        # act(l1 l2) = act(l1) act(l2): one gather per side over all pairs
+        acts = np.array([a.images for a in auts])
+        bad = (acts[L.np_table()] != acts[:, acts]).any(axis=2)
+        if bad.any():
+            l1, l2 = divmod(int(bad.argmax()), L.order)
+            raise ActionNotHomomorphism(f"action is not multiplicative at ({l1}, {l2})")
         self.H, self.L = H, L
         self.action = tuple(auts)
-
-        def encode(h: int, l: int) -> int:
-            return h * L.order + l
-
-        def decode(x: int) -> tuple[int, int]:
-            return divmod(x, L.order)
-
-        self.encode, self.decode = encode, decode
+        self.weights, self.coords = _digits([H.order, L.order])
         # hpart[h1, l1, h2] = h1 * act(l1)(h2); cell ((h1, l1), (h2, l2))
-        hpart = H.np_table()[:, np.array([a.images for a in auts])]
+        hpart = H.np_table()[:, acts]
         table = hpart[:, :, :, None] * L.order + L.np_table()[None, :, None, :]
         self.group = FiniteGroup._proved(table.reshape(total, total), name=name)
+
+    def encode(self, h: int, l: int) -> int:
+        return int(self.weights @ np.array((h, l)))
+
+    def decode(self, x: int) -> tuple[int, int]:
+        return tuple(self.coords[:, x].tolist())
 
 
 def semidirect_product(H: FiniteGroup, L: FiniteGroup,
@@ -1073,8 +1043,12 @@ class WreathProduct:
 
     The product is (l, f)(l', f') = (l l', x -> f(l' x) * f'(x)), so the
     base group of functions is normal and L permutes it by left shifts.
-    (l, f) is l * base_size + i for the function f numbered i, whose
-    values f(x) are `digits[x, i]`, with place values `weights`.
+    The functions are numbered by `_digits` over |H| once per point of L,
+    as `direct_power(H, |L|)` numbers its elements, and kept as `weights`
+    and `coords`: the function numbered i has f(y) = `coords[y, i]`.
+    (l, f) is l * base_size + i.  Only the base_size columns of the
+    functions are kept: for a trivial H, coordinates of every element
+    would take |L| + 1 cells per element, 32 MB at |L| = 2048.
     """
 
     def __init__(self, H: FiniteGroup, L: FiniteGroup, name: str = ""):
@@ -1083,25 +1057,21 @@ class WreathProduct:
         _require_order(total, f"wreath product order {total}")
         self.H, self.L = H, L
         self.base_size = base
-        fun_encode, fun_decode = _mixed_radix_maps([H.order] * L.order)
-        self.fun_encode, self.fun_decode = fun_encode, fun_decode
-
-        def encode(l: int, f: Sequence[int]) -> int:
-            return l * base + fun_encode(f)
-
-        def decode(x: int) -> tuple[int, tuple[int, ...]]:
-            l, fidx = divmod(x, base)
-            return l, fun_decode(fidx)
-
-        self.encode, self.decode = encode, decode
-        # funs[i, x] = f(x) for the function f numbered i; shifted[i, l'] numbers
-        # x -> f(l' x), so the base part of (l, f)(l', f') is base_table[shifted, f'].
+        self.weights, self.coords = _digits([H.order] * L.order)
+        # shifted[i, l'] numbers x -> f(l' x) for the function f numbered i,
+        # so the base part of (l, f)(l', f') is base_table[shifted, f'].
         LT = L.np_table()
-        self.weights, self.digits = weights, digits = _digits([H.order] * L.order)
-        shifted = digits.T[:, LT] @ weights
+        shifted = self.coords.T[:, LT] @ self.weights
         base_table = _product_table([H.np_table()] * L.order)
         table = LT[:, None, :, None] * base + base_table[shifted][None]
         self.group = FiniteGroup._proved(table.reshape(total, total), name=name)
+
+    def encode(self, l: int, f: Sequence[int]) -> int:
+        return l * self.base_size + int(self.weights @ np.array(f))
+
+    def decode(self, x: int) -> tuple[int, tuple[int, ...]]:
+        l, i = divmod(x, self.base_size)
+        return l, tuple(self.coords[:, i].tolist())
 
 
 def wreath_product(H: FiniteGroup, L: FiniteGroup, name: str = "") -> WreathProduct:
@@ -1310,28 +1280,20 @@ def all_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupMap]:
 # factorizations
 
 
-def exact_factorizations(
-    G: FiniteGroup, subgroups: Optional[list[Subgroup]] = None
-) -> list[tuple[Subgroup, Subgroup]]:
+def exact_factorizations(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     """All ordered subgroup pairs (H, L) with |H| |L| = |G| and H i L = {e}.
 
     For finite groups this forces HL = G with unique expression g = h l.
     """
-    if subgroups is not None:
-        _require_subgroups_of(G, subgroups)
-    subs = subgroups if subgroups is not None else all_subgroups(G)
+    subs = all_subgroups(G)
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
     out = []
     e = G.identity
-    for H in subs:
-        rem, mod = divmod(G.order, H.order)
-        if mod:
-            continue
-        for L in by_order.get(rem, []):
-            inter = H.as_set() & L.as_set()
-            if inter == {e}:
+    for H in subs:  # |H| divides |G|, by Lagrange
+        for L in by_order.get(G.order // H.order, []):
+            if H.as_set() & L.as_set() == {e}:
                 out.append((H, L))
     out.sort(key=lambda p: (p[0].elements, p[1].elements))
     return out

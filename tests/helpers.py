@@ -278,6 +278,16 @@ def reference_closure_words(G, gens, images, word_pair):
     return found
 
 
+def mixed_radix_encode(radices, digits):
+    """The number with the given digits in the given radices, the first
+    digit most significant."""
+    acc = 0
+    for radix, digit in zip(radices, digits, strict=True):
+        assert 0 <= digit < radix
+        acc = acc * radix + digit
+    return acc
+
+
 def reference_power_product(G, parts, r, psis=None):
     """The power product at (g_0, ..., g_{n-1}) for a matrix r over
     {-1, 0, 1}: component i is g_i^r_ii g_(i-1)^r_(i-1)i ... g_0^r_0i,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import counting, reference_power_product
+from helpers import counting, random_images, reference_power_product
 from rbgroups import constructions, groups, operators
 from rbgroups.constructions import (
     affine_map_check,
@@ -22,7 +22,7 @@ from rbgroups.constructions import (
     triangular_splitting,
     wreath_rb,
 )
-from rbgroups.corpus import corpus_group
+from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.derived import derived_group
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import (
@@ -214,6 +214,43 @@ def test_hom_to_abelian_rejections(s3):
         hom_to_abelian(s3, list(s3.elements()))
     with pytest.raises(InvalidInput):
         hom_to_abelian(s3, [0, 1, 1, 0, 0, 1], mode="both")
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_hom_to_abelian_names_first_failing_pair(name, rng):
+    # the refusal names the first pair, in row-major order, at which the
+    # map is not a (anti)homomorphism, and then the first pair of image
+    # elements that do not commute, as a walk over all pairs finds them:
+    # on random maps, on the trivial map changed at one element, and on
+    # endomorphisms, which pass as homomorphisms or fail as antihomomorphisms
+    G = corpus_group(name)
+    t, e = G.table, G.identity
+    maps = [random_images(G, rng, fix_identity=False) for _ in range(8)]
+    for _ in range(8):
+        f = [e] * G.order
+        f[rng.randrange(G.order)] = rng.randrange(G.order)
+        maps.append(f)
+    homs = all_homomorphisms(G, G)
+    maps += [list(rng.choice(homs).images) for _ in range(8)]
+    for f in maps:
+        for mode in ("hom", "antihom"):
+            want = next(((a, b) for a in G.elements() for b in G.elements()
+                         if f[t[a][b]] != (t[f[a]][f[b]] if mode == "hom" else t[f[b]][f[a]])),
+                        None)
+            try:
+                hom_to_abelian(G, f, mode=mode)
+            except NotHomomorphism as exc:
+                assert want is not None
+                assert str(exc) == str(NotHomomorphism(
+                    f"map is not a {mode} at pair ({want[0]}, {want[1]})"))
+            except ImageNotAbelian as exc:
+                img = sorted(set(f))
+                x, y = next((x, y) for x in img for y in img if x < y and t[x][y] != t[y][x])
+                assert want is None
+                assert str(exc) == str(ImageNotAbelian(
+                    f"image elements {x} and {y} do not commute"))
+            else:
+                assert want is None
 
 
 def test_power_map_matches_k_abelian(s3, z6, q8):

@@ -12,7 +12,7 @@ from rbgroups.derived import (
 )
 from rbgroups.enumeration import graph_enumerate
 from rbgroups.errors import InvalidInput
-from rbgroups.groups import all_subgroups, automorphisms, exact_factorizations, is_isomorphic
+from rbgroups.groups import automorphisms, exact_factorizations, is_isomorphic
 from rbgroups.operators import conjugate, elementary, rb_operator, tilde, verify
 
 
@@ -31,7 +31,7 @@ def test_circle_tables_are_groups(s3_census):
 def _factorization_operators(name):
     G = corpus_group(name)
     return [splitting_from_factorization(G, H, L)
-            for H, L in exact_factorizations(G, all_subgroups(G))]
+            for H, L in exact_factorizations(G)]
 
 
 def test_twisted_group_facts(s3_census):

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     counting,
+    mixed_radix_encode,
     naive_is_subgroup,
     reference_group_axioms,
     reference_hom_defect,
@@ -53,6 +55,7 @@ from rbgroups.groups import (
     generating_sequence,
     is_isomorphic,
     is_normal,
+    is_simple,
     isomorphisms_all,
     lower_central_series,
     opposite_group,
@@ -62,6 +65,7 @@ from rbgroups.groups import (
     wreath_product,
 )
 from rbgroups.operators import image, kernel
+from rbgroups.serialization import group_to_json, parse_group
 
 # a latin square with identity 0 that fails associativity at (1,1,2)
 LOOP5 = [
@@ -374,11 +378,15 @@ def test_proved_from_arrays(build):
 @pytest.mark.parametrize("build", [
     lambda: wreath_product(corpus_group("Z2"), corpus_group("S3")).group,
     lambda: from_permutations(A6_GENS),
-], ids=["n384", "A6"])
+    lambda: from_cayley_table(
+        wreath_product(corpus_group("Z2"), corpus_group("S3")).group.np_table().tolist()),
+    lambda: parse_group(json.loads(json.dumps(group_to_json(from_permutations(A6_GENS))))),
+], ids=["n384", "A6", "n384-rows", "A6-json"])
 def test_proved_tables_share_ids(build):
     # above order 256, where CPython no longer shares small ints, the
     # table still holds one int object per element id, and so do the
-    # inverses
+    # inverses: also for a table from outside, whose rows (from tolist()
+    # or a JSON parse) hold one int object per cell
     G = build()
     n = G.order
     assert n > 256
@@ -536,15 +544,40 @@ def test_subgroup_functions_refuse_foreign_subgroups():
         commutator_subgroup(s3, foreign[-1])
     with pytest.raises(InvalidInput):
         commutator_subgroup(s3, None, foreign[1])
-    with pytest.raises(InvalidInput):
-        exact_factorizations(s3, foreign)
     assert commutator_subgroup(s3, all_subgroups(s3)[-1]).order == 3
-    assert len(exact_factorizations(s3, all_subgroups(s3))) == 8
 
 
 def test_normality(s3):
     assert is_normal(subgroup_generated(s3, [3]))
     assert not is_normal(subgroup_generated(s3, [1]))
+
+
+# PSL(2,7) on the projective line over F_7, the point at infinity as 7:
+# x -> x + 1 and x -> -1/x
+PSL27_GENS = [tuple((x + 1) % 7 if x < 7 else 7 for x in range(8)),
+              tuple(7 if x == 0 else 0 if x == 7 else -pow(x, -1, 7) % 7 for x in range(8))]
+
+
+_MORE_GROUPS = {"S5": lambda: corpus.symmetric(5),
+                "PSL(2,7)": lambda: from_permutations(PSL27_GENS)}
+_SIMPLE = {"Z2", "Z3", "Z5", "Z7", "Z11", "Z13", "A5", "PSL(2,7)"}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + list(_MORE_GROUPS))
+def test_is_simple_agrees_with_definition(name):
+    # simple: nontrivial, with no normal subgroup strictly between 1 and G
+    G = _MORE_GROUPS.get(name, lambda: corpus_group(name))()
+    between = [N for N in all_subgroups(G)[1:-1] if is_normal(N)]
+    assert is_simple(G) == (G.order > 1 and not between) == (name in _SIMPLE)
+
+
+def test_is_simple_takes_one_closure_per_class(monkeypatch):
+    # A5 has five conjugacy classes: one normal closure per nontrivial one
+    calls = {"closures": 0}
+    monkeypatch.setattr(groups, "normal_closure",
+                        counting(calls, "closures", groups.normal_closure))
+    assert is_simple(corpus_group("A5"))
+    assert calls == {"closures": 4}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -835,10 +868,12 @@ def test_product_numbering(s3, z4):
             for b in w.group.elements():
                 (l1, f1), (l2, f2) = w.decode(a), w.decode(b)
                 f = [H.table[f1[L.table[l2][x]]][f2[x]] for x in L.elements()]
-                want = L.table[l1][l2] * w.base_size + w.fun_encode(f)
+                want = mixed_radix_encode([L.order] + [H.order] * L.order,
+                                          [L.table[l1][l2]] + f)
                 assert w.group.table[a][b] == want
                 assert w.encode(L.table[l1][l2], f) == want
-        assert w.fun_decode(1) == (0,) * (L.order - 1) + (1,)
+        assert w.decode(1) == (0, (0,) * (L.order - 1) + (1,))
+        assert w.decode(w.base_size) == (1, (0,) * L.order)
 
 
 def test_semidirect_validation(z4):
@@ -848,6 +883,29 @@ def test_semidirect_validation(z4):
     assert is_isomorphic(sdp.group, corpus_group("D4")) is not None
     with pytest.raises(ActionNotHomomorphism):
         semidirect_product(z4, z2, [[0, 1, 2, 3], [1, 0, 3, 2]])
+
+
+@pytest.mark.parametrize("h, l", [("Z2xZ2", "Z4"), ("Z2xZ2", "S3"), ("Z2xZ2xZ2", "Z2xZ2"),
+                                  ("Q8", "Z3")])
+def test_semidirect_action_names_first_failing_pair(h, l, rng):
+    # an action by automorphisms that is not multiplicative is refused at
+    # the first pair (l1, l2), in row-major order, with act(l1 l2) !=
+    # act(l1) act(l2), as a walk over all pairs finds it
+    H, L = corpus_group(h), corpus_group(l)
+    auts = [a.images for a in automorphisms(H)]
+    for _ in range(20):
+        act = [auts[0]] + [rng.choice(auts) for _ in range(L.order - 1)]
+        if L.identity != 0:
+            act[0], act[L.identity] = act[L.identity], act[0]
+        want = next(((a, b) for a in L.elements() for b in L.elements()
+                     if act[L.mul(a, b)] != tuple(act[a][x] for x in act[b])), None)
+        if want is None:
+            assert semidirect_product(H, L, act).group.order == H.order * L.order
+            continue
+        with pytest.raises(ActionNotHomomorphism) as exc:
+            semidirect_product(H, L, act)
+        assert str(exc.value) == str(ActionNotHomomorphism(
+            f"action is not multiplicative at ({want[0]}, {want[1]})"))
 
 
 def test_wreath_orders():
