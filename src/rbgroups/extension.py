@@ -23,22 +23,33 @@ an operator by reading B(x y^-1) = y off its pairs, and the encode map
 g -> (g B(g), B(g)) is then an isomorphism from the twisted group onto
 H.
 
+H is built from the powers of the generator pair of largest order, then
+one generator pair at a time, a left coset at a time, as Dimino's
+algorithm builds a group (`_grow`); pairs are coded x*n + y.  A coset
+new to the subgroup so far never holds (e, e), so H meets the diagonal
+exactly when a power or a new coset holds a pair with x = y, and one
+lookup per coset tells.  Only a refutation walks H again, breadth first
+from (e, e), to spell its witness word.
+
 A smaller diagonal-free H is searched: for the least g that no pair of
 H decodes to, and each u in ascending order, add (g, u) as one more
-prescribed pair and close again; skip u on a diagonal collision, decode
-a full-size closure, search a smaller one the same way.  No extension B
-is missed, as its graph contains H and (g B(g), B(g)), so it lies on
-the branch u = B(g).  A branch closure properly contains its parent
-subgroup, so at least doubles it: the depth is at most log2 |G|.  All
-extensions below a node agree before g, so the first full closure found
-is the lexicographically least extension.  The search is "undecided"
-only once its closures have visited SEARCH_BUDGET pairs (checked before
-each branch).
+prescribed pair and grow H by its pair (g u, u); skip u when a coset
+meets the diagonal (the growth stops there), decode a full-size
+closure, search a smaller one the same way.  No extension B is missed,
+as its graph contains H and (g B(g), B(g)), so it lies on the branch
+u = B(g).  A branch closure properly contains its parent subgroup, so
+at least doubles it: the depth is at most log2 |G|.  All extensions
+below a node agree before g, so the first full closure found is the
+lexicographically least extension.  The search is "undecided" only once
+its branch closures hold SEARCH_BUDGET pairs in all, each counted as
+built, with the parent pairs it starts from (checked before each
+branch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 import random
@@ -204,11 +215,12 @@ class ExtensionResult:
 
 
 def _closure_pairs(G: FiniteGroup, gens: Sequence[int],
-                   images: Sequence[int], whole: bool = False):
-    """BFS closure of the generator pairs in G x G with parent pointers.
+                   images: Sequence[int]):
+    """BFS closure of the generator pairs in G x G with parent pointers,
+    stopped at the first diagonal collision.
 
-    Returns (pairs dict mapping pair -> parent step, first diagonal
-    collision or None); unless whole is set, the walk stops there.
+    Returns (pairs dict mapping pair -> parent step, that collision or
+    None).  Only a refutation's witness word reads it.
     """
     t, inv = G.table, G.inverses
     e = G.identity
@@ -220,7 +232,6 @@ def _closure_pairs(G: FiniteGroup, gens: Sequence[int],
     root = (e, e)
     parents: dict[tuple[int, int], Optional[tuple]] = {root: None}
     queue = [root]
-    collision = None
     while queue:
         nxt = []
         for x, y in queue:
@@ -229,22 +240,110 @@ def _closure_pairs(G: FiniteGroup, gens: Sequence[int],
                 if p in parents:
                     continue
                 parents[p] = ((x, y), step)
-                if p[0] == p[1] and collision is None:
-                    collision = p
-                    if not whole:
-                        return parents, collision
+                if p[0] == p[1]:
+                    return parents, p
                 nxt.append(p)
         queue = nxt
-    return parents, collision
+    return parents, None
 
 
-def _word_of(parents, pair) -> Word:
-    out = []
+def _witness(G: FiniteGroup, gens: Sequence[int],
+             images: Sequence[int]) -> tuple[Word, tuple[int, int]]:
+    """The first diagonal pair the walk of `_closure_pairs` meets, and
+    the word its parent steps spell to it; the closure must meet the
+    diagonal."""
+    parents, collision = _closure_pairs(G, gens, images)
+    out, pair = [], collision
     while parents[pair] is not None:
-        prev, step = parents[pair]
+        pair, step = parents[pair]
         out.append(step)
-        pair = prev
-    return tuple(reversed(out))
+    return tuple(reversed(out)), collision
+
+
+@dataclass(eq=False)
+class _Closure:
+    """A subgroup of G x G: the codes x*n + y of its pairs (x, y) in the
+    order found, as a list and as a set, and the pairs generating it."""
+
+    found: list[int]
+    codes: set[int]
+    gens: list[tuple[int, int]]
+    _pairs: Optional[list[tuple[int, int]]] = None
+    _quotients: Optional[set[int]] = None
+
+    def pairs(self, G: FiniteGroup) -> list[tuple[int, int]]:
+        """The pairs (x, y) in the order found, computed once."""
+        if self._pairs is None:
+            self._pairs = [divmod(c, G.order) for c in self.found]
+        return self._pairs
+
+    def quotients(self, G: FiniteGroup) -> set[int]:
+        """The elements y x^-1 over the pairs (x, y), computed once."""
+        if self._quotients is None:
+            t, inv = G.table, G.inverses
+            self._quotients = {t[y][inv[x]] for x, y in self.pairs(G)}
+        return self._quotients
+
+
+def _pair_closure(G: FiniteGroup, gens: Sequence[int],
+                  images: Sequence[int]) -> tuple[_Closure, bool]:
+    """The whole pair closure of the problem, and whether it meets the
+    diagonal outside (e, e).  The generator pair of largest order goes
+    first, as its powers; _grow adds the others in turn."""
+    t, e, n, orders = G.table, G.identity, G.order, G.element_orders()
+    steps = sorted(((t[a][u], u) for a, u in zip(gens, images)),
+                   key=lambda p: -lcm(orders[p[0]], orders[p[1]]))
+    found, diag = [e * n + e], False
+    for sx, sy in steps[:1]:
+        x, y = sx, sy
+        while x != e or y != e:
+            diag = diag or x == y
+            found.append(x * n + y)
+            x, y = t[x][sx], t[y][sy]
+    H = _Closure(found, set(found), steps[:1])
+    for s in steps[1:]:
+        H, met = _grow(G, H, s)
+        diag = diag or met
+    return H, diag
+
+
+def _grow(G: FiniteGroup, H: _Closure, s: tuple[int, int],
+          cut: bool = False) -> tuple[_Closure, bool]:
+    """The closure of H and the pair s, and whether it meets the diagonal
+    in a coset new to H.
+
+    <H, s> is a union of left cosets z.H, found as Dimino's algorithm
+    finds them: from the representative (e, e), each generator g times
+    each representative r gives a new coset g.r.H, with g.r its
+    representative, whenever g.r lies outside the codes found so far.  A
+    new coset never holds (e, e), and z.H holds a diagonal pair exactly
+    when zy^-1 zx is some y x^-1 of H, so each coset is checked once.
+    With cut set, the growth stops at the first diagonal coset, and the
+    result holds only the cosets before it.
+    """
+    t, inv, e, n = G.table, G.inverses, G.identity, G.order
+    if s[0] * n + s[1] in H.codes:
+        return H, False
+    base, quotients = H.pairs(G), H.quotients(G)
+    out = _Closure(list(H.found), set(H.codes), H.gens + [s])
+    found, codes = out.found, out.codes
+    diag = False
+    reps = [(e, e)]
+    for rx, ry in reps:
+        for gx, gy in out.gens:
+            zx, zy = t[gx][rx], t[gy][ry]
+            if zx * n + zy in codes:
+                continue
+            if t[inv[zy]][zx] in quotients:
+                if cut:
+                    return out, True
+                diag = True
+            row_x, row_y = t[zx], t[zy]
+            coset = [row_x[x] * n + row_y[y] for x, y in base]
+            found += coset
+            codes.update(coset)
+            reps.append((zx, zy))
+    return out, diag
 
 
 @dataclass(frozen=True)
@@ -278,34 +377,36 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
     realized concretely as the closure subgroup of G x G, together
     with the probe and image maps described on ClosureGroup.
 
-    Every closure element is reached by an actual word, the one its
-    breadth-first parent steps spell, so the probe map and the
-    word-level probe evaluation have the same image set.
+    Every closure element is a product of the generator pairs and their
+    inverses, so it is reached by an actual word, and the probe map and
+    the word-level probe evaluation have the same image set.  The
+    offending word of CondFails is the one the breadth-first walk of
+    `_closure_pairs` spells.
     """
     gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
-    parents, collision = _closure_pairs(G, gens, images)
-    if collision is not None:
-        w = _word_of(parents, collision)
+    H, diag = _pair_closure(G, gens, images)
+    if diag:
+        w, collision = _witness(G, gens, images)
         raise CondFails(
             f"word {list(w)} probes to the identity but has image "
             f"{collision[1]}, so probe classes do not determine images"
         )
-    return _closure_of(G, parents)
+    return _closure_of(G, H)
 
 
-def _closure_of(G: FiniteGroup, pairs) -> ClosureGroup:
+def _closure_of(G: FiniteGroup, H: _Closure) -> ClosureGroup:
     """closure_group's result from a diagonal-free pair closure: the
     sorted pairs under the coordinatewise product of G x G.  The closure
     is a subgroup of G x G and the image map is its second projection,
     so neither the table nor the map is checked.  A pair (x, y) is coded
-    x*n + y, so the sorted pairs have sorted codes and the table is one
-    gather and one search over them."""
+    x*n + y, so the sorted codes are the sorted pairs and the table is
+    one gather and one search over them."""
     n, T = G.order, G.np_table()
-    ordered = sorted(pairs)
-    xs, ys = np.array(ordered).T
-    codes = xs * n + ys
+    codes = np.array(sorted(H.codes))
+    xs, ys = codes // n, codes % n
+    ordered = list(zip(xs.tolist(), ys.tolist()))
     table = np.searchsorted(codes, T[xs[:, None], xs] * n + T[ys[:, None], ys])
     H = FiniteGroup._proved(table, name=f"pair-closure({G.name})")
     image = tuple(ys.tolist())
@@ -335,46 +436,47 @@ def _extend_with_closure(G: FiniteGroup, gens: Sequence[int],
                          ) -> tuple[ExtensionResult, Optional[ClosureGroup]]:
     """extend_generators, and closure_group when the closure avoids the
     diagonal (None otherwise), both read off one pair closure."""
-    res, parents = _decide(G, gens, images)
+    res, top = _decide(G, gens, images)
     if not res.cond:
         return res, None
-    return res, _closure_of(G, parents)
+    return res, _closure_of(G, top)
 
 
 def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
-    """The decision of extend_generators and the parents of the top
-    closure."""
+    """The decision of extend_generators and the top closure."""
     gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
 
-    parents, collision = _closure_pairs(G, gens, images, True)  # whole
-    if collision is not None:
+    top, diag = _pair_closure(G, gens, images)
+    order = len(top.found)
+    if diag:
         return ExtensionResult(
-            status="no_extension", cond=False, closure_order=len(parents),
-            via="closure", witness=(_word_of(parents, collision), ()),
-        ), parents
+            status="no_extension", cond=False, closure_order=order,
+            via="closure", witness=(_witness(G, gens, images)[0], ()),
+        ), top
 
-    # the search of the module docstring, depth first from the closure
+    # the search of the module docstring, depth first from the closure;
+    # a branch grows its parent's closure by its one new pair
     t, inv = G.table, G.inverses
-    stack, spent, node = [], 0, parents
-    while node is None or len(node) < G.order:
+    stack, spent, node = [], 0, top
+    while node is None or len(node.found) < G.order:
         if node is not None:
-            decoded = {t[x][inv[y]] for x, y in node}
-            g = next(x for x in G.elements() if x not in decoded)
-            stack += [(gens + [g], images + [u]) for u in reversed(G.elements())]
+            quotients = node.quotients(G)
+            g = next(x for x in G.elements() if inv[x] not in quotients)
+            stack += [(node, g, u) for u in reversed(G.elements())]
         if not stack or spent >= SEARCH_BUDGET:
             return ExtensionResult(
                 status="undecided" if stack else "no_extension", cond=True,
-                closure_order=len(parents), via=None if stack else "search",
-            ), parents
-        gens, images = stack.pop()
-        node, collision = _closure_pairs(G, gens, images)
-        spent += len(node)
-        if collision is not None:
+                closure_order=order, via=None if stack else "search",
+            ), top
+        parent, g, u = stack.pop()
+        node, diag = _grow(G, parent, (t[g][u], u), cut=True)
+        spent += len(node.found)
+        if diag:
             node = None
     return ExtensionResult(
-        status="extends", cond=True, closure_order=len(parents),
-        via="closure" if node is parents else "search",
-        operator=_decode_graph(G, node),
-    ), parents
+        status="extends", cond=True, closure_order=order,
+        via="closure" if node is top else "search",
+        operator=_decode_graph(G, node.pairs(G)),
+    ), top

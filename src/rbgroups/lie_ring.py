@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import PreconditionFailed, StructureViolation
 from .groups import FiniteGroup, Subgroup, _coset_quotient, lower_central_series
 from .operators import RBOperator, verify
@@ -152,40 +154,88 @@ def graded_lie_ring(G: FiniteGroup) -> GradedLieRing:
     return GradedLieRing(G, series, layers)
 
 
+_AXIOM_CELLS = 1 << 20  # (v, w, u) triples check_lie_ring checks at once
+
+
+def _id_tables(ring: GradedLieRing):
+    """The ring's elements as ids in `elements()` order (mixed radix, the
+    first layer's coset the least significant digit), with the sum,
+    negative and bracket of ids as arrays and the id of zero.  Each table
+    is computed as `add`, `neg` and `bracket` compute it, layer by layer,
+    identity components of a bracket skipped as there."""
+    n = ring.order
+    ids = np.arange(n)
+    add, bracket = np.zeros((n, n), dtype=np.intp), np.zeros((n, n), dtype=np.intp)
+    neg = np.zeros(n, dtype=np.intp)
+    zero, weight, weights, digits, acc = 0, 1, [], [], []
+    for layer in ring.layers:
+        q = layer.quotient
+        d = ids // weight % q.order
+        add += q.np_table()[d[:, None], d] * weight
+        neg += np.asarray(q.inverses)[d] * weight
+        zero += q.identity * weight
+        weights.append(weight)
+        digits.append(d)
+        acc.append(np.full((n, n), q.identity))
+        weight *= q.order
+    for i, li in enumerate(ring.layers):
+        for j, lj in enumerate(ring.layers):
+            got = ring._layer_bracket(i, j)
+            if got is None:
+                continue
+            table, target = got
+            q = ring.layers[target].quotient
+            skip = (digits[i] == li.quotient.identity)[:, None] | (digits[j] == lj.quotient.identity)
+            value = np.asarray(table)[digits[i][:, None], digits[j]]
+            acc[target] = q.np_table()[acc[target], np.where(skip, q.identity, value)]
+    for a, weight in zip(acc, weights):
+        bracket += a * weight
+    return add, neg, bracket, zero
+
+
 def check_lie_ring(ring: GradedLieRing) -> None:
     """Ring axioms over all elements: biadditivity, alternation, Jacobi.
 
-    Raises StructureViolation on the first failure; sized for the small
-    nilpotent groups this library targets.
+    Raises StructureViolation on the first failure, in this order:
+    alternation [v, v] = 0 for each v; then for each (v, w) in turn
+    antisymmetry [v, w] = -[w, v], and for each u additivity
+    [u, v + w] = [u, v] + [u, w] and the Jacobi identity.  Each axiom is
+    one gather over the id tables of `_id_tables`, a slab of v at a time.
     """
-    elems = ring.elements()
-    zero = ring.zero()
-    br, add, neg = ring.bracket, ring.add, ring.neg
-    for v in elems:
-        if br(v, v) != zero:
-            raise StructureViolation(f"bracket not alternating at {v}")
-    for v in elems:
-        for w in elems:
-            if br(v, w) != neg(br(w, v)):
-                raise StructureViolation(f"bracket not antisymmetric at {v}, {w}")
-            for u in elems:
-                if br(u, add(v, w)) != add(br(u, v), br(u, w)):
-                    raise StructureViolation("bracket not additive")
-                jac = add(br(u, br(v, w)),
-                          add(br(v, br(w, u)), br(w, br(u, v))))
-                if jac != zero:
-                    raise StructureViolation(
-                        f"Jacobi fails at {u}, {v}, {w}"
-                    )
+    add, neg, br, zero = _id_tables(ring)
+    n = ring.order
+    bad = np.flatnonzero(br[np.arange(n), np.arange(n)] != zero)
+    if bad.size:
+        raise StructureViolation(f"bracket not alternating at {ring.elements()[bad[0]]}")
+    brT, ws = br.T, np.arange(n)[None, :, None]
+    step = max(1, _AXIOM_CELLS // (n * n))
+    for v0 in range(0, n, step):
+        vs = slice(v0, v0 + step)
+        # cell (v, w, 0) is antisymmetry at (v, w); cells (v, w, 1 + 2u)
+        # and (v, w, 2 + 2u) additivity and Jacobi at (u, v, w), so the
+        # first failing cell is the first failure in the order above
+        fails = np.empty((min(step, n - v0), n, 1 + 2 * n), dtype=bool)
+        fails[:, :, 0] = br[vs] != neg[brT[vs]]
+        fails[:, :, 1::2] = brT[add[vs]] != add[brT[vs][:, None, :], brT[None, :, :]]
+        # [u, [v, w]] + ([v, [w, u]] + [w, [u, v]])
+        jac = add[brT[br[vs]], add[br[vs][:, br], br[ws, brT[vs][:, None, :]]]]
+        fails[:, :, 2::2] = jac != zero
+        if not fails.any():
+            continue
+        v, w, k = np.unravel_index(int(fails.argmax()), fails.shape)
+        elems = ring.elements()
+        v, w = elems[v0 + v], elems[w]
+        if k == 0:
+            raise StructureViolation(f"bracket not antisymmetric at {v}, {w}")
+        if k % 2:
+            raise StructureViolation("bracket not additive")
+        raise StructureViolation(f"Jacobi fails at {elems[(k - 2) // 2]}, {v}, {w}")
 
 
 def bracket_nonzero_count(ring: GradedLieRing) -> int:
     """Ordered element pairs with nonvanishing bracket."""
-    elems = ring.elements()
-    zero = ring.zero()
-    return sum(
-        1 for v in elems for w in elems if ring.bracket(v, w) != zero
-    )
+    _, _, br, zero = _id_tables(ring)
+    return int((br != zero).sum())
 
 
 def preserves_lower_central(op: RBOperator) -> bool:

@@ -368,3 +368,120 @@ def reference_lie_verdict(ind):
                     if br(rv, rw) != rhs:
                         return False, (li.degree, a, lj.degree, b, "identity")
     return True, None
+
+
+def reference_pair_walk(G, gens, images, whole=False):
+    """The pair closure of an extension problem as a breadth-first walk
+    from (e, e) in G x G, each pair stepping by (a_i u_i, u_i) and its
+    inverse in generator order.  Returns (parents, collision): each pair
+    found mapped to (previous pair, step) or None for the root, and the
+    first pair off the identity with x = y, or None.  Unless whole is
+    set, the walk stops at that pair."""
+    t, inv, e = G.table, G.inverses, G.identity
+    steps = []
+    for i, (a, u) in enumerate(zip(gens, images)):
+        au = t[a][u]
+        steps.append(((au, u), (i, 1)))
+        steps.append(((inv[au], inv[u]), (i, -1)))
+    parents = {(e, e): None}
+    queue, collision = [(e, e)], None
+    while queue:
+        nxt = []
+        for x, y in queue:
+            for (dx, dy), step in steps:
+                p = (t[x][dx], t[y][dy])
+                if p in parents:
+                    continue
+                parents[p] = ((x, y), step)
+                if p[0] == p[1] and collision is None:
+                    collision = p
+                    if not whole:
+                        return parents, collision
+                nxt.append(p)
+        queue = nxt
+    return parents, collision
+
+
+def reference_walk_word(parents, pair):
+    """The steps from the root to pair along the walk's parent pointers."""
+    out = []
+    while parents[pair] is not None:
+        pair, step = parents[pair]
+        out.append(step)
+    return tuple(reversed(out))
+
+
+def reference_decide(G, gens, images, budget):
+    """The extension decision by the whole walk and a branch search that
+    closes every branch again from the root, with its prescription
+    lengthened by one pair.  Returns a dict of status, cond, via,
+    closure_order, operator images (read off the graph, not verified),
+    witness, the CondFails message and the closure table: the sorted
+    pairs, their coordinatewise products as indices, and the probe and
+    image of each."""
+    gens, images = list(gens), list(images)
+    t, inv = G.table, G.inverses
+    top, collision = reference_pair_walk(G, gens, images, whole=True)
+    out = {"cond": collision is None, "closure_order": len(top),
+           "operator": None, "witness": None, "message": None, "closure": None}
+    if collision is not None:
+        w = reference_walk_word(reference_pair_walk(G, gens, images)[0], collision)
+        out.update(status="no_extension", via="closure", witness=(w, ()),
+                   message=f"word {list(w)} probes to the identity but has image "
+                           f"{collision[1]}, so probe classes do not determine images")
+        return out
+    pairs = sorted(top)
+    index = {p: i for i, p in enumerate(pairs)}
+    out["closure"] = (
+        pairs,
+        [[index[(t[x1][x2], t[y1][y2])] for x2, y2 in pairs] for x1, y1 in pairs],
+        [t[x][inv[y]] for x, y in pairs],
+        [y for _, y in pairs],
+    )
+    stack, spent, node = [], 0, top
+    while node is None or len(node) < G.order:
+        if node is not None:
+            decoded = {t[x][inv[y]] for x, y in node}
+            g = next(x for x in G.elements() if x not in decoded)
+            stack += [(gens + [g], images + [u]) for u in reversed(G.elements())]
+        if not stack or spent >= budget:
+            out.update(status="undecided" if stack else "no_extension",
+                       via=None if stack else "search")
+            return out
+        gens, images = stack.pop()
+        node, collision = reference_pair_walk(G, gens, images)
+        spent += len(node)
+        if collision is not None:
+            node = None
+    op = [None] * G.order
+    for x, y in node:
+        op[t[x][inv[y]]] = y
+    out.update(status="extends", via="closure" if node is top else "search",
+               operator=tuple(op))
+    return out
+
+
+def reference_check_lie_ring(ring):
+    """The ring axioms by a loop over element tuples through the ring's
+    own add, neg and bracket: alternation for each v, then for each
+    (v, w) antisymmetry and, for each u, additivity and Jacobi.  Raises
+    StructureViolation on the first failure."""
+    from rbgroups.errors import StructureViolation
+
+    elems = ring.elements()
+    zero = ring.zero()
+    br, add, neg = ring.bracket, ring.add, ring.neg
+    for v in elems:
+        if br(v, v) != zero:
+            raise StructureViolation(f"bracket not alternating at {v}")
+    for v in elems:
+        for w in elems:
+            if br(v, w) != neg(br(w, v)):
+                raise StructureViolation(f"bracket not antisymmetric at {v}, {w}")
+            for u in elems:
+                if br(u, add(v, w)) != add(br(u, v), br(u, w)):
+                    raise StructureViolation("bracket not additive")
+                jac = add(br(u, br(v, w)),
+                          add(br(v, br(w, u)), br(w, br(u, v))))
+                if jac != zero:
+                    raise StructureViolation(f"Jacobi fails at {u}, {v}, {w}")

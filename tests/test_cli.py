@@ -318,18 +318,25 @@ def test_extend_answers_or_refuses(argv):
 
 
 def test_extend_builds_closure_once(monkeypatch, capsys):
-    # the decision and the reported closure group share one pair closure,
-    # and its group table is built once
-    calls = {"_closure_pairs": 0, "table": 0}
-    monkeypatch.setattr(extension, "_closure_pairs",
-                        counting(calls, "_closure_pairs", extension._closure_pairs))
-    monkeypatch.setattr(FiniteGroup, "_proved",
-                        counting(calls, "table", FiniteGroup._proved))
-    j = run_json(capsys, "extend", "--corpus", "S4",
-                 "--gens", "1,2,3", "--images", "0,0,0")
-    assert j["status"] == "extends" and j["via"] == "closure"
-    assert j["gbar"]["order"] == 24 and len(j["gbar"]["table"]) == 24
-    assert calls == {"_closure_pairs": 1, "table": 1}
+    # the decision and the reported closure group share one coset
+    # closure, whose group table is built once; only a refutation by a
+    # word walks the closure again, to spell the word.  On S4: extended
+    # by the closure, refuted by the search below it, refuted by a word
+    for images, status, walks, tables in (("0,0,0", "extends", 0, 1),
+                                          ("5,11,5", "no_extension", 0, 1),
+                                          ("4,18,2", "no_extension", 1, 0)):
+        calls = {"closure": 0, "walk": 0, "table": 0}
+        monkeypatch.setattr(extension, "_pair_closure",
+                            counting(calls, "closure", extension._pair_closure))
+        monkeypatch.setattr(extension, "_closure_pairs",
+                            counting(calls, "walk", extension._closure_pairs))
+        monkeypatch.setattr(FiniteGroup, "_proved",
+                            counting(calls, "table", FiniteGroup._proved))
+        j = run_json(capsys, "extend", "--corpus", "S4",
+                     "--gens", "1,2,3", "--images", images)
+        assert j["status"] == status and j["cond"] is (walks == 0)
+        assert calls == {"closure": 1, "walk": walks, "table": tables}
+        monkeypatch.undo()
 
 
 def test_lie_ring(capsys):

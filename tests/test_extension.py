@@ -3,9 +3,14 @@ import random
 
 import pytest
 
-from helpers import counting, reference_closure_words
+from helpers import (
+    counting,
+    reference_closure_words,
+    reference_decide,
+    reference_pair_walk,
+)
 from rbgroups import derived, extension, groups
-from rbgroups.corpus import corpus_group
+from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.derived import derived_group
 from rbgroups.errors import CondFails, InvalidInput
 from rbgroups.extension import (
@@ -20,6 +25,7 @@ from rbgroups.enumeration import graph_enumerate
 from rbgroups.groups import (
     GroupMap,
     direct_product,
+    from_permutations,
     generating_sequence,
     is_isomorphic,
     subgroup_generated,
@@ -394,3 +400,167 @@ def test_census_restriction_round_trip(s3, s3_census):
         res = extend_generators(s3, gens, [op(a) for a in gens])
         assert res.status == "extends"
         assert res.operator.images == op.images
+
+
+def _seeded_prescriptions(G, rng, count):
+    """count prescriptions on the generating sequence of G: restrictions
+    of census operators and uniform random values, alternately."""
+    gens = list(generating_sequence(G))
+    census = graph_enumerate(G).operators
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            op = rng.choice(census)
+            out.append((gens, [op(a) for a in gens]))
+        else:
+            out.append((gens, [rng.randrange(G.order) for _ in gens]))
+    return out
+
+
+def _assert_closure_is_walk(G, H, diag, gens, images):
+    # the coset closure holds each pair of the whole walk once, and meets
+    # the diagonal exactly when the walk does
+    parents, collision = reference_pair_walk(G, gens, images, whole=True)
+    assert H.codes == {x * G.order + y for x, y in parents}
+    assert len(H.found) == len(parents)
+    assert set(H.found) == H.codes
+    assert diag == (collision is not None)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_coset_closure_equals_walk(name):
+    # on seeded prescriptions, the closure and each branch grown from it
+    # by one more prescribed pair: below a partial closure, every branch
+    # of its least undecoded element; below any closure, four random ones
+    G = corpus_group(name)
+    t, inv = G.table, G.inverses
+    rng = random.Random(f"coset-closure:{name}")
+    for gens, images in _seeded_prescriptions(G, rng, 16):
+        H, diag = extension._pair_closure(G, gens, images)
+        _assert_closure_is_walk(G, H, diag, gens, images)
+        branches = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(4)]
+        if not diag and len(H.found) < G.order:
+            decoded = {t[x][inv[y]] for x, y in (divmod(c, G.order) for c in H.found)}
+            g = next(x for x in G.elements() if x not in decoded)
+            branches += [(g, u) for u in G.elements()]
+        for g, u in branches:
+            # grown from H, the branch is the closure of the longer
+            # prescription from the root and starts with H's pairs; cut at
+            # its first diagonal coset it gives the same verdict, and
+            # without one the same pairs
+            child, met = extension._grow(G, H, (t[g][u], u))
+            _assert_closure_is_walk(G, child, diag or met, gens + [g], images + [u])
+            assert child.found[:len(H.found)] == H.found
+            cut, cut_met = extension._grow(G, H, (t[g][u], u), cut=True)
+            assert cut_met == met
+            if not met:
+                assert cut.codes == child.codes
+
+
+A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
+
+
+def test_coset_closure_whole_a6_square():
+    # a refuted problem whose closure is all of A6 x A6
+    G = from_permutations(A6_GENS)
+    gens = list(generating_sequence(G))
+    rng = random.Random(5)
+    while True:
+        images = [rng.randrange(G.order) for _ in gens]
+        H, diag = extension._pair_closure(G, gens, images)
+        if len(H.found) == G.order ** 2:
+            break
+    assert diag
+    _assert_closure_is_walk(G, H, diag, gens, images)
+    res = extend_generators(G, gens, images)
+    want = reference_decide(G, gens, images, extension.SEARCH_BUDGET)
+    assert (res.status, res.cond, res.via, res.closure_order, res.witness) == \
+        (want["status"], want["cond"], want["via"], want["closure_order"], want["witness"])
+
+
+def _decision(G, gens, images):
+    """What rbg extend reads off a problem, in reference_decide's form."""
+    res, cg = extension._extend_with_closure(G, gens, images)
+    plain = extend_generators(G, gens, images)
+    assert (plain.status, plain.cond, plain.via, plain.closure_order, plain.witness) == \
+        (res.status, res.cond, res.via, res.closure_order, res.witness)
+    assert (plain.operator is None) == (res.operator is None)
+    if res.operator is not None:
+        assert plain.operator.images == res.operator.images
+    out = {"status": res.status, "cond": res.cond, "via": res.via,
+           "closure_order": res.closure_order,
+           "operator": None if res.operator is None else res.operator.images,
+           "witness": res.witness, "message": None, "closure": None}
+    try:
+        c = closure_group(G, gens, images)
+    except CondFails as exc:
+        assert cg is None
+        out["message"] = str(exc)
+    else:
+        assert cg.pairs == c.pairs and cg.group.table == c.group.table
+        out["closure"] = (list(c.pairs), [list(row) for row in c.group.table],
+                          list(c.probe.images), list(c.image.images))
+    return out
+
+
+def test_decide_matches_reference(monkeypatch):
+    # 576 seeded prescriptions, on the greedy generating sequence or on a
+    # random generating set: restrictions of census operators, the same
+    # with one value redrawn, and uniform random values; one in eight is
+    # decided again with no budget
+    rng = random.Random(20261020)
+    whole_budget = extension.SEARCH_BUDGET
+    kinds = {}
+    for name in ("S3", "D4", "Q8", "A4", "D6", "S4", "Heis3", "A5"):
+        G = corpus_group(name)
+        census = graph_enumerate(G).operators
+        for k in range(72):
+            if k % 3 == 0:
+                gens = list(generating_sequence(G))
+            else:
+                gens = rng.sample(range(G.order), rng.randint(1, 3))
+                while not subgroup_generated(G, gens).is_whole_group():
+                    gens = rng.sample(range(G.order), rng.randint(1, 3))
+            if k % 4 == 3:
+                images = [rng.randrange(G.order) for _ in gens]
+            else:
+                op = rng.choice(census)
+                images = [op(a) for a in gens]
+                if k % 4 == 2:
+                    images[rng.randrange(len(gens))] = rng.randrange(G.order)
+            budget = 0 if k % 8 == 5 else whole_budget
+            monkeypatch.setattr(extension, "SEARCH_BUDGET", budget)
+            got = _decision(G, gens, images)
+            assert got == reference_decide(G, gens, images, budget), (name, gens, images)
+            key = (got["status"], got["via"])
+            kinds[key] = kinds.get(key, 0) + 1
+    assert sum(kinds.values()) == 576
+    for key in (("extends", "closure"), ("extends", "search"), ("no_extension", "closure"),
+                ("no_extension", "search"), ("undecided", None)):
+        assert kinds.get(key, 0) > 0, key
+
+
+def test_branches_build_only_pairs_outside_parent(monkeypatch):
+    # a fixed S4 search below a closure of 12: each of its 19 branches
+    # starts from the top closure's pairs and adds 168 pairs in all (396
+    # counted with the copied ones), where walking every branch from the
+    # root to its first diagonal pair finds 641
+    G = corpus_group("S4")
+    gens, images = [1, 2, 3], [0, 0, 5]
+    branches = []
+    real = extension._grow
+
+    def recording(G_, H, s, cut=False):
+        out, diag = real(G_, H, s, cut)
+        if cut:
+            assert out.found[:len(H.found)] == H.found
+            branches.append((len(H.found), len(out.found), diag))
+        return out, diag
+
+    monkeypatch.setattr(extension, "_grow", recording)
+    res = extend_generators(G, gens, images)
+    assert res.status == "extends" and res.via == "search" and res.closure_order == 12
+    assert len(branches) == 19 and {parent for parent, _, _ in branches} == {12}
+    assert sum(child - parent for parent, child, _ in branches) == 168
+    assert sum(child for _, child, _ in branches) == 396
+    assert [diag for _, _, diag in branches] == [True] * 18 + [False]

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from helpers import counting, reference_lie_verdict
+from helpers import counting, reference_check_lie_ring, reference_lie_verdict
 from rbgroups import lie_ring
 from rbgroups.constructions import central_conjugation
 from rbgroups.corpus import corpus_group, corpus_names
 from rbgroups.enumeration import graph_enumerate
-from rbgroups.errors import PreconditionFailed
+from rbgroups.errors import PreconditionFailed, StructureViolation
 from rbgroups.groups import all_homomorphisms
 from rbgroups.lie_ring import (
     InducedRB,
@@ -44,6 +44,73 @@ def test_abelian_ring_is_flat(z6):
 def test_ring_axioms(d4, q8, heis3):
     for G in (d4, q8, heis3):
         check_lie_ring(graded_lie_ring(G))
+
+
+def _axiom_verdict(check, ring):
+    try:
+        check(ring)
+    except StructureViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, trials", [("D4", 24), ("Q8", 24), ("Heis3", 6)])
+def test_ring_axioms_match_loop_on_corrupted_rings(name, trials):
+    # one or two cells of the layer bracket tables changed at random (a
+    # diagonal cell in a third of the trials, to break alternation): the
+    # id-table check fails first where the loop over element tuples does,
+    # with its message, or passes with it
+    rng = random.Random(f"corrupt:{name}")
+    G = corpus_group(name)
+    assert _axiom_verdict(check_lie_ring, graded_lie_ring(G)) is None
+    verdicts = set()
+    for trial in range(trials):
+        ring = graded_lie_ring(G)
+        pairs = [(i, j) for i in range(len(ring.layers)) for j in range(len(ring.layers))
+                 if ring._layer_bracket(i, j) is not None]
+        for _ in range(1 + trial % 2):
+            i, j = rng.choice(pairs)
+            table, target = ring._brackets[(i, j)]
+            table = [list(row) for row in table]
+            a = rng.randrange(len(table))
+            b = a if trial % 3 == 0 and i == j else rng.randrange(len(table[0]))
+            table[a][b] = rng.randrange(ring.layers[target].quotient.order)
+            ring._brackets[(i, j)] = (table, target)
+        got = _axiom_verdict(check_lie_ring, ring)
+        assert got == _axiom_verdict(reference_check_lie_ring, ring)
+        verdicts.add(got.split(" at")[0] if got else None)
+    assert len(verdicts) >= 3, verdicts
+
+
+def test_ring_axioms_report_first_jacobi_failure():
+    # a graded ring that is biadditive and alternating but breaks Jacobi:
+    # Z2^3 (ids are bit vectors) in degrees 1 and 2, Z2 in degree 3, the
+    # cross product as the bracket of degree 1 with itself and the dot
+    # product as its bracket with degree 2, so the cyclic sum of
+    # [u, [v, w]] is three times the determinant of u, v, w
+    V, Z2 = corpus_group("Z2xZ2xZ2"), corpus_group("Z2")
+    ring = lie_ring.GradedLieRing(V, (), [lie_ring.Layer(1, V, {}), lie_ring.Layer(2, V, {}),
+                                          lie_ring.Layer(3, Z2, {})])
+
+    def bit(x, i):
+        return (x >> i) & 1
+
+    def cross(a, b):
+        return sum((bit(a, (k + 1) % 3) & bit(b, (k + 2) % 3)
+                    ^ bit(a, (k + 2) % 3) & bit(b, (k + 1) % 3)) << k for k in range(3))
+
+    def dot(a, b):
+        return bin(a & b).count("1") % 2
+
+    ring._brackets.update({
+        (0, 0): ([[cross(a, b) for b in range(8)] for a in range(8)], 1),
+        (0, 1): ([[dot(a, b) for b in range(8)] for a in range(8)], 2),
+        (1, 0): ([[dot(a, b) for b in range(8)] for a in range(8)], 2),
+        (1, 1): None, (0, 2): None, (2, 0): None, (1, 2): None, (2, 1): None, (2, 2): None,
+    })
+    want = _axiom_verdict(reference_check_lie_ring, ring)
+    assert want == "Jacobi fails at (4, 0, 0), (1, 0, 0), (2, 0, 0)"
+    assert _axiom_verdict(check_lie_ring, ring) == want
 
 
 def test_bracket_nonzero_counts(d4, q8, heis3):
