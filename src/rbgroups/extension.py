@@ -262,19 +262,18 @@ def _witness(G: FiniteGroup, gens: Sequence[int],
 
 @dataclass(eq=False)
 class _Closure:
-    """A subgroup of G x G: the codes x*n + y of its pairs (x, y) in the
-    order found, as a list and as a set, and the pairs generating it."""
+    """A subgroup of G x G: the codes x*n + y of its pairs (x, y), and the
+    pairs generating it."""
 
-    found: list[int]
     codes: set[int]
     gens: list[tuple[int, int]]
     _pairs: Optional[list[tuple[int, int]]] = None
     _quotients: Optional[set[int]] = None
 
     def pairs(self, G: FiniteGroup) -> list[tuple[int, int]]:
-        """The pairs (x, y) in the order found, computed once."""
+        """The pairs (x, y), computed once."""
         if self._pairs is None:
-            self._pairs = [divmod(c, G.order) for c in self.found]
+            self._pairs = [divmod(c, G.order) for c in self.codes]
         return self._pairs
 
     def quotients(self, G: FiniteGroup) -> set[int]:
@@ -293,14 +292,14 @@ def _pair_closure(G: FiniteGroup, gens: Sequence[int],
     t, e, n, orders = G.table, G.identity, G.order, G.element_orders()
     steps = sorted(((t[a][u], u) for a, u in zip(gens, images)),
                    key=lambda p: -lcm(orders[p[0]], orders[p[1]]))
-    found, diag = [e * n + e], False
+    codes, diag = {e * n + e}, False
     for sx, sy in steps[:1]:
         x, y = sx, sy
         while x != e or y != e:
             diag = diag or x == y
-            found.append(x * n + y)
+            codes.add(x * n + y)
             x, y = t[x][sx], t[y][sy]
-    H = _Closure(found, set(found), steps[:1])
+    H = _Closure(codes, steps[:1])
     for s in steps[1:]:
         H, met = _grow(G, H, s)
         diag = diag or met
@@ -325,8 +324,8 @@ def _grow(G: FiniteGroup, H: _Closure, s: tuple[int, int],
     if s[0] * n + s[1] in H.codes:
         return H, False
     base, quotients = H.pairs(G), H.quotients(G)
-    out = _Closure(list(H.found), set(H.codes), H.gens + [s])
-    found, codes = out.found, out.codes
+    out = _Closure(set(H.codes), H.gens + [s])
+    codes = out.codes
     diag = False
     reps = [(e, e)]
     for rx, ry in reps:
@@ -339,9 +338,7 @@ def _grow(G: FiniteGroup, H: _Closure, s: tuple[int, int],
                     return out, True
                 diag = True
             row_x, row_y = t[zx], t[zy]
-            coset = [row_x[x] * n + row_y[y] for x, y in base]
-            found += coset
-            codes.update(coset)
+            codes.update([row_x[x] * n + row_y[y] for x, y in base])
             reps.append((zx, zy))
     return out, diag
 
@@ -449,7 +446,7 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
         raise InvalidInput("the given elements do not generate the group")
 
     top, diag = _pair_closure(G, gens, images)
-    order = len(top.found)
+    order = len(top.codes)
     if diag:
         return ExtensionResult(
             status="no_extension", cond=False, closure_order=order,
@@ -460,7 +457,7 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
     # a branch grows its parent's closure by its one new pair
     t, inv = G.table, G.inverses
     stack, spent, node = [], 0, top
-    while node is None or len(node.found) < G.order:
+    while node is None or len(node.codes) < G.order:
         if node is not None:
             quotients = node.quotients(G)
             g = next(x for x in G.elements() if inv[x] not in quotients)
@@ -472,7 +469,7 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
             ), top
         parent, g, u = stack.pop()
         node, diag = _grow(G, parent, (t[g][u], u), cut=True)
-        spent += len(node.found)
+        spent += len(node.codes)
         if diag:
             node = None
     return ExtensionResult(

@@ -154,43 +154,53 @@ def graded_lie_ring(G: FiniteGroup) -> GradedLieRing:
     return GradedLieRing(G, series, layers)
 
 
-_AXIOM_CELLS = 1 << 20  # (v, w, u) triples check_lie_ring checks at once
+# cells one numpy call takes at once, and at least one v: check_lie_ring
+# checks this many (v, w, u) triples a slab, bracket_nonzero_count this
+# many (v, w) pairs.  Each gathered int array then takes about 8 MB (32 MB
+# for the triples at order 2048, where one v already has 2^22), while
+# small rings still take many v per call
+_AXIOM_CELLS = 1 << 20
 
 
-def _id_tables(ring: GradedLieRing):
-    """The ring's elements as ids in `elements()` order (mixed radix, the
-    first layer's coset the least significant digit), with the sum,
-    negative and bracket of ids as arrays and the id of zero.  Each table
-    is computed as `add`, `neg` and `bracket` compute it, layer by layer,
-    identity components of a bracket skipped as there."""
-    n = ring.order
-    ids = np.arange(n)
-    add, bracket = np.zeros((n, n), dtype=np.intp), np.zeros((n, n), dtype=np.intp)
-    neg = np.zeros(n, dtype=np.intp)
-    zero, weight, weights, digits, acc = 0, 1, [], [], []
+def _digits(ring: GradedLieRing) -> list[tuple[np.ndarray, int]]:
+    """Each layer's coset of every element id, with the layer's weight:
+    ids in `elements()` order are mixed radix, the first layer's coset
+    the least significant digit."""
+    ids, weight, out = np.arange(ring.order), 1, []
     for layer in ring.layers:
-        q = layer.quotient
-        d = ids // weight % q.order
-        add += q.np_table()[d[:, None], d] * weight
-        neg += np.asarray(q.inverses)[d] * weight
-        zero += q.identity * weight
-        weights.append(weight)
-        digits.append(d)
-        acc.append(np.full((n, n), q.identity))
-        weight *= q.order
-    for i, li in enumerate(ring.layers):
-        for j, lj in enumerate(ring.layers):
-            got = ring._layer_bracket(i, j)
-            if got is None:
-                continue
-            table, target = got
-            q = ring.layers[target].quotient
-            skip = (digits[i] == li.quotient.identity)[:, None] | (digits[j] == lj.quotient.identity)
-            value = np.asarray(table)[digits[i][:, None], digits[j]]
-            acc[target] = q.np_table()[acc[target], np.where(skip, q.identity, value)]
-    for a, weight in zip(acc, weights):
-        bracket += a * weight
-    return add, neg, bracket, zero
+        out.append((ids // weight % layer.quotient.order, weight))
+        weight *= layer.quotient.order
+    return out
+
+
+def _bracket_ids(ring: GradedLieRing, digits, vs: slice = slice(None)) -> np.ndarray:
+    """The bracket of element ids, rows vs of the n x n array, computed as
+    `bracket` computes it: one target layer at a time, its layer pairs
+    (i, j) in the same order, identity components skipped as there."""
+    n = ring.order
+    bracket = np.full((len(range(n)[vs]), n), _zero_id(ring, digits), dtype=np.intp)
+    for target, (_, weight) in enumerate(digits):
+        q = ring.layers[target].quotient
+        acc = None
+        for i, li in enumerate(ring.layers):
+            for j, lj in enumerate(ring.layers):
+                got = ring._layer_bracket(i, j)
+                if got is None or got[1] != target:
+                    continue
+                di, dj = digits[i][0][vs], digits[j][0]
+                value = np.asarray(got[0])[di[:, None], dj]
+                value[di == li.quotient.identity] = q.identity
+                value[:, dj == lj.quotient.identity] = q.identity
+                acc = value if acc is None else q.np_table()[acc, value]
+        if acc is not None:
+            acc -= q.identity
+            acc *= weight
+            bracket += acc
+    return bracket
+
+
+def _zero_id(ring: GradedLieRing, digits) -> int:
+    return sum(layer.quotient.identity * w for layer, (_, w) in zip(ring.layers, digits))
 
 
 def check_lie_ring(ring: GradedLieRing) -> None:
@@ -200,10 +210,17 @@ def check_lie_ring(ring: GradedLieRing) -> None:
     alternation [v, v] = 0 for each v; then for each (v, w) in turn
     antisymmetry [v, w] = -[w, v], and for each u additivity
     [u, v + w] = [u, v] + [u, w] and the Jacobi identity.  Each axiom is
-    one gather over the id tables of `_id_tables`, a slab of v at a time.
+    one gather over sum, negative and bracket tables of element ids, a
+    slab of v at a time.
     """
-    add, neg, br, zero = _id_tables(ring)
-    n = ring.order
+    digits = _digits(ring)
+    n, zero = ring.order, _zero_id(ring, digits)
+    add, neg = np.zeros((n, n), dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for layer, (d, weight) in zip(ring.layers, digits):
+        q = layer.quotient
+        add += q.np_table()[d[:, None], d] * weight
+        neg += np.asarray(q.inverses)[d] * weight
+    br = _bracket_ids(ring, digits)
     bad = np.flatnonzero(br[np.arange(n), np.arange(n)] != zero)
     if bad.size:
         raise StructureViolation(f"bracket not alternating at {ring.elements()[bad[0]]}")
@@ -233,9 +250,12 @@ def check_lie_ring(ring: GradedLieRing) -> None:
 
 
 def bracket_nonzero_count(ring: GradedLieRing) -> int:
-    """Ordered element pairs with nonvanishing bracket."""
-    _, _, br, zero = _id_tables(ring)
-    return int((br != zero).sum())
+    """Ordered element pairs with nonvanishing bracket, counted a slab of
+    rows at a time."""
+    digits, n = _digits(ring), ring.order
+    zero, step = _zero_id(ring, digits), max(1, _AXIOM_CELLS // n)
+    return sum(int((_bracket_ids(ring, digits, slice(v0, v0 + step)) != zero).sum())
+               for v0 in range(0, n, step))
 
 
 def preserves_lower_central(op: RBOperator) -> bool:

@@ -322,9 +322,9 @@ def test_extend_builds_closure_once(monkeypatch, capsys):
     # closure, whose group table is built once; only a refutation by a
     # word walks the closure again, to spell the word.  On S4: extended
     # by the closure, refuted by the search below it, refuted by a word
-    for images, status, walks, tables in (("0,0,0", "extends", 0, 1),
-                                          ("5,11,5", "no_extension", 0, 1),
-                                          ("4,18,2", "no_extension", 1, 0)):
+    for images, status, via, walks, tables in (("0,0,0", "extends", "closure", 0, 1),
+                                               ("5,11,5", "no_extension", "search", 0, 1),
+                                               ("4,18,2", "no_extension", "closure", 1, 0)):
         calls = {"closure": 0, "walk": 0, "table": 0}
         monkeypatch.setattr(extension, "_pair_closure",
                             counting(calls, "closure", extension._pair_closure))
@@ -334,8 +334,10 @@ def test_extend_builds_closure_once(monkeypatch, capsys):
                             counting(calls, "table", FiniteGroup._proved))
         j = run_json(capsys, "extend", "--corpus", "S4",
                      "--gens", "1,2,3", "--images", images)
-        assert j["status"] == status and j["cond"] is (walks == 0)
+        assert j["status"] == status and j["via"] == via and j["cond"] is (walks == 0)
         assert calls == {"closure": 1, "walk": walks, "table": tables}
+        if status == "extends":
+            assert j["gbar"]["order"] == 24 and len(j["gbar"]["table"]) == 24
         monkeypatch.undo()
 
 

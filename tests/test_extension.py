@@ -422,8 +422,6 @@ def _assert_closure_is_walk(G, H, diag, gens, images):
     # the diagonal exactly when the walk does
     parents, collision = reference_pair_walk(G, gens, images, whole=True)
     assert H.codes == {x * G.order + y for x, y in parents}
-    assert len(H.found) == len(parents)
-    assert set(H.found) == H.codes
     assert diag == (collision is not None)
 
 
@@ -439,18 +437,18 @@ def test_coset_closure_equals_walk(name):
         H, diag = extension._pair_closure(G, gens, images)
         _assert_closure_is_walk(G, H, diag, gens, images)
         branches = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(4)]
-        if not diag and len(H.found) < G.order:
-            decoded = {t[x][inv[y]] for x, y in (divmod(c, G.order) for c in H.found)}
+        if not diag and len(H.codes) < G.order:
+            decoded = {t[x][inv[y]] for x, y in (divmod(c, G.order) for c in H.codes)}
             g = next(x for x in G.elements() if x not in decoded)
             branches += [(g, u) for u in G.elements()]
         for g, u in branches:
             # grown from H, the branch is the closure of the longer
-            # prescription from the root and starts with H's pairs; cut at
+            # prescription from the root and holds H's pairs; cut at
             # its first diagonal coset it gives the same verdict, and
             # without one the same pairs
             child, met = extension._grow(G, H, (t[g][u], u))
             _assert_closure_is_walk(G, child, diag or met, gens + [g], images + [u])
-            assert child.found[:len(H.found)] == H.found
+            assert H.codes <= child.codes
             cut, cut_met = extension._grow(G, H, (t[g][u], u), cut=True)
             assert cut_met == met
             if not met:
@@ -468,7 +466,7 @@ def test_coset_closure_whole_a6_square():
     while True:
         images = [rng.randrange(G.order) for _ in gens]
         H, diag = extension._pair_closure(G, gens, images)
-        if len(H.found) == G.order ** 2:
+        if len(H.codes) == G.order ** 2:
             break
     assert diag
     _assert_closure_is_walk(G, H, diag, gens, images)
@@ -553,8 +551,8 @@ def test_branches_build_only_pairs_outside_parent(monkeypatch):
     def recording(G_, H, s, cut=False):
         out, diag = real(G_, H, s, cut)
         if cut:
-            assert out.found[:len(H.found)] == H.found
-            branches.append((len(H.found), len(out.found), diag))
+            assert H.codes <= out.codes
+            branches.append((len(H.codes), len(out.codes), diag))
         return out, diag
 
     monkeypatch.setattr(extension, "_grow", recording)

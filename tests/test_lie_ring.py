@@ -54,12 +54,16 @@ def _axiom_verdict(check, ring):
     return None
 
 
+@pytest.mark.parametrize("cells", [None, 1, 200])
 @pytest.mark.parametrize("name, trials", [("D4", 24), ("Q8", 24), ("Heis3", 6)])
-def test_ring_axioms_match_loop_on_corrupted_rings(name, trials):
+def test_ring_axioms_match_loop_on_corrupted_rings(monkeypatch, name, trials, cells):
     # one or two cells of the layer bracket tables changed at random (a
     # diagonal cell in a third of the trials, to break alternation): the
     # id-table check fails first where the loop over element tuples does,
-    # with its message, or passes with it
+    # with its message, or passes with it.  Small slab sizes split the
+    # check into one or three v a slab, so failures fall in later slabs
+    if cells is not None:
+        monkeypatch.setattr(lie_ring, "_AXIOM_CELLS", cells)
     rng = random.Random(f"corrupt:{name}")
     G = corpus_group(name)
     assert _axiom_verdict(check_lie_ring, graded_lie_ring(G)) is None
@@ -78,11 +82,15 @@ def test_ring_axioms_match_loop_on_corrupted_rings(name, trials):
             ring._brackets[(i, j)] = (table, target)
         got = _axiom_verdict(check_lie_ring, ring)
         assert got == _axiom_verdict(reference_check_lie_ring, ring)
+        elems, zero = ring.elements(), ring.zero()
+        assert bracket_nonzero_count(ring) == sum(
+            ring.bracket(v, w) != zero for v in elems for w in elems)
         verdicts.add(got.split(" at")[0] if got else None)
     assert len(verdicts) >= 3, verdicts
 
 
-def test_ring_axioms_report_first_jacobi_failure():
+@pytest.mark.parametrize("cells", [None, 1])
+def test_ring_axioms_report_first_jacobi_failure(monkeypatch, cells):
     # a graded ring that is biadditive and alternating but breaks Jacobi:
     # Z2^3 (ids are bit vectors) in degrees 1 and 2, Z2 in degree 3, the
     # cross product as the bracket of degree 1 with itself and the dot
@@ -108,6 +116,9 @@ def test_ring_axioms_report_first_jacobi_failure():
         (1, 0): ([[dot(a, b) for b in range(8)] for a in range(8)], 2),
         (1, 1): None, (0, 2): None, (2, 0): None, (1, 2): None, (2, 1): None, (2, 2): None,
     })
+    if cells is not None:
+        # one v a slab: the failure at v = (1, 0, 0) lies in the second
+        monkeypatch.setattr(lie_ring, "_AXIOM_CELLS", cells)
     want = _axiom_verdict(reference_check_lie_ring, ring)
     assert want == "Jacobi fails at (4, 0, 0), (1, 0, 0), (2, 0, 0)"
     assert _axiom_verdict(check_lie_ring, ring) == want
