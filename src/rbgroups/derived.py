@@ -11,8 +11,8 @@ report still checks its four facts: reporting them is what it is for.
 The twisted table is one gather over G's table, and each operator has
 one twisted group, memoized on it, which the report returns.  The report
 reads its facts off tables, the quotient tables among them (loops, as
-`groups` explains).  It checks fact (a) on a second gather as an array,
-not through `is_normal`, which would cache the array on the group.
+`groups` explains).  Facts (a) and (b) read kernels' normalizers, (a)'s
+off a fresh twisted array, which `is_normal` would cache on the group.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, StructureViolation
-from .groups import FiniteGroup, GroupMap, Subgroup, _coset_quotient, _normal_in
+from .groups import FiniteGroup, GroupMap, Subgroup, _coset_quotient, _normalizer
 from .operators import RBOperator, _require_valid, bplus, image, kernel
 
 __all__ = [
@@ -185,7 +185,7 @@ def structure_report(op: RBOperator) -> StructureReport:
             raise StructureViolation(
                 f"{tag} is not a twisted-product subgroup: {exc}"
             ) from exc
-        if not _normal_in(circle, twisted.inverses, sub_elems):
+        if len(_normalizer(circle, twisted.inverses, sub_elems)) != twisted.order:
             raise StructureViolation(f"{tag} is not normal in the twisted group")
 
     if not ker_b.as_set() <= im_bp.as_set():
@@ -193,9 +193,9 @@ def structure_report(op: RBOperator) -> StructureReport:
     if not ker_bp.as_set() <= im_b.as_set():
         raise StructureViolation("companion kernel is not inside the image")
     t = G.np_table()
-    if not _normal_in(t, G.inverses, ker_b.elements, im_bp.elements):
+    if not im_bp.as_set() <= _normalizer(t, G.inverses, ker_b.elements):
         raise StructureViolation("kernel is not normal in the companion image")
-    if not _normal_in(t, G.inverses, ker_bp.elements, im_b.elements):
+    if not im_b.as_set() <= _normalizer(t, G.inverses, ker_bp.elements):
         raise StructureViolation("companion kernel is not normal in the image")
 
     src_q, src = _coset_quotient(G, im_bp.elements, ker_b)

@@ -28,10 +28,10 @@ quotients), so the product group is never materialized; this keeps A5
 tractable.  G's subgroups are swept once per call, by conjugacy classes
 (`all_subgroups`): those of a subgroup S are the ones inside S, so S's
 normal subgroups, quotients and coset fibers are read off that lattice
-in G's ids, once, and shared by every visit to S.  The isomorphisms
-between two quotients are searched once per distinct pair of quotient
-tables and shared by every candidate with that pair.  Nothing outlives
-the call.
+in G's ids, once, and shared by every visit to S; N is normal in S when
+S <= N_G(N), one gather per N.  The isomorphisms between two quotients
+are searched once per distinct pair of quotient tables and shared by
+every candidate with that pair.  Nothing outlives the call.
 
 Decoding and the check run in batches.  The walk appends each subgroup
 it finds as one row of |G| pairs, and once the pending rows hold
@@ -56,7 +56,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _coset_quotient,
-    _is_normal_within,
+    _normalizer,
     all_subgroups,
     automorphisms,
     is_simple,
@@ -173,21 +173,22 @@ def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
     )
 
 
-def _factor_data(G: FiniteGroup, S: Subgroup, subs: list[Subgroup]):
-    """One (N, Q, proj, fibers) entry per normal subgroup N of S, read off
-    G's sweep `subs` (S's subgroups are those of G inside S), in G's ids:
-    Q = S/N, proj the coset map {s: coset id}, fibers[q] the coset q."""
-    entries = []
+def _factor_data(G: FiniteGroup, subs: list[Subgroup]) -> dict:
+    """{S.elements: one (N, Q, proj, fibers) entry per N in `subs` with
+    N <= S <= N_G(N)} over G's sweep `subs`, in G's ids: Q = S/N, proj
+    the coset map {s: coset id}, fibers[q] the coset q."""
+    T, factors = G.np_table(), {S.elements: [] for S in subs}
     for N in subs:
-        if (S.order % N.order or not N.as_set() <= S.as_set()
-                or not _is_normal_within(G, N, S)):
-            continue
-        Q, proj = _coset_quotient(G, S.elements, N)
-        fibers: dict[int, list[int]] = {}
-        for s, q in proj.items():
-            fibers.setdefault(q, []).append(s)
-        entries.append((N, Q, proj, fibers))
-    return entries
+        normalizer = _normalizer(T, G.inverses, N.elements)
+        for S in subs:
+            if S.order % N.order or not N.as_set() <= S.as_set() <= normalizer:
+                continue
+            Q, proj = _coset_quotient(G, S.elements, N)
+            fibers: dict[int, list[int]] = {}
+            for s, q in proj.items():
+                fibers.setdefault(q, []).append(s)
+            factors[S.elements].append((N, Q, proj, fibers))
+    return factors
 
 
 def graph_enumerate(G: FiniteGroup) -> Census:
@@ -214,7 +215,7 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     by_order: dict[int, list[Subgroup]] = {}
     for s in subs:
         by_order.setdefault(s.order, []).append(s)
-    factors = {s.elements: _factor_data(G, s, subs) for s in subs}
+    factors = _factor_data(G, subs)
 
     isos: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[RBOperator] = []

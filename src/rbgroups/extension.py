@@ -380,10 +380,7 @@ def closure_group(G: FiniteGroup, gens: Sequence[int],
     offending word of CondFails is the one the breadth-first walk of
     `_closure_pairs` spells.
     """
-    gens, images = _check_problem(G, gens, images)
-    if not subgroup_generated(G, gens).is_whole_group():
-        raise InvalidInput("the given elements do not generate the group")
-    H, diag = _pair_closure(G, gens, images)
+    gens, images, H, diag = _closed_problem(G, gens, images)
     if diag:
         w, collision = _witness(G, gens, images)
         raise CondFails(
@@ -439,13 +436,17 @@ def _extend_with_closure(G: FiniteGroup, gens: Sequence[int],
     return res, _closure_of(G, top)
 
 
-def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
-    """The decision of extend_generators and the top closure."""
+def _closed_problem(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
+    """_check_problem, the generation refusal, then the pair closure."""
     gens, images = _check_problem(G, gens, images)
     if not subgroup_generated(G, gens).is_whole_group():
         raise InvalidInput("the given elements do not generate the group")
+    return (gens, images, *_pair_closure(G, gens, images))
 
-    top, diag = _pair_closure(G, gens, images)
+
+def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
+    """The decision of extend_generators and the top closure."""
+    gens, images, top, diag = _closed_problem(G, gens, images)
     order = len(top.codes)
     if diag:
         return ExtensionResult(

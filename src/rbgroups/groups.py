@@ -10,9 +10,10 @@ theorem or a closure proves to be a group goes to `_proved` unchecked:
 quotients, the direct, semidirect and wreath products, repacked
 subgroups, permutation closures, pair closures, twisted groups and
 opposite groups.  All but the quotients are gathers over the parent's
-`np_table()`, as are `center` and `is_normal`.  `_coset_quotient` and
-`_is_normal_within` stay loops: a census builds hundreds of quotients,
-most of order 4 or less, where numpy's fixed cost outweighs a loop.
+`np_table()`, as are `center` and `_normalizer`, which answers every
+normality question as K <= N_G(N).  `_coset_quotient` stays a loop: a
+census builds hundreds of quotients, most of order 4 or less, where
+numpy's fixed cost outweighs a loop.
 
 How an array becomes a group.  The rows are made once, as tuples.
 CPython keeps one int object for each of -5..256, so up to order 256
@@ -800,31 +801,27 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def is_normal(S: Subgroup) -> bool:
-    """Whether g s g^-1 is in S for all g in G and s in S: one gather."""
-    return _normal_in(S.parent.np_table(), S.parent.inverses, S.elements)
+    """Whether G normalizes S: N_G(S) is all of G."""
+    G = S.parent
+    return len(_normalizer(G.np_table(), G.inverses, S.elements)) == G.order
 
 
-def _normal_in(t: np.ndarray, inverses: Sequence[int], elements: Sequence[int],
-               by: Optional[Sequence[int]] = None) -> bool:
-    """Whether x s x^-1 is in `elements` for every s there and every x in
-    `by` (default: every element), in the group with table t and the
-    given inverses: `is_normal` as one gather, for any table."""
+def _normalizer(t: np.ndarray, inverses: Sequence[int],
+                elements: Sequence[int]) -> frozenset[int]:
+    """N(S), the ids x with x S x^-1 = S, in the group with table t and the
+    given inverses, for the subgroup S with the given elements: one gather
+    of every x s x^-1.  A finite S is normal in K exactly when K <= N(S)."""
     ids = np.array(elements)
-    xs = slice(None) if by is None else np.array(by)
     inside = np.zeros(len(t), dtype=bool)
     inside[ids] = True
-    return bool(inside[t[t[xs][:, ids], np.array(inverses)[xs][:, None]]].all())
+    keeps = inside[t[t[:, ids], np.array(inverses)[:, None]]].all(axis=1)
+    return frozenset(np.flatnonzero(keeps).tolist())
 
 
 def _require_subgroups_of(G: FiniteGroup, subs: Iterable[Subgroup]) -> None:
     """Refuse, with InvalidInput, any subgroup whose parent is not G."""
     if any(S.parent is not G for S in subs):
         raise InvalidInput("subgroup belongs to a different group")
-
-
-def _is_normal_within(G: FiniteGroup, inner: Subgroup, outer: Subgroup) -> bool:
-    """Whether `inner` is a normal subgroup of `outer` (both inside G)."""
-    return all(G.conj(s, g) in inner for g in outer.elements for s in inner.elements)
 
 
 def normal_closure(G: FiniteGroup, g: int) -> Subgroup:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import PreconditionFailed, StructureViolation
 from .groups import FiniteGroup, Subgroup, _coset_quotient, lower_central_series
+from .groups import _digits as _mixed_radix
 from .operators import RBOperator, verify
 
 __all__ = [
@@ -164,13 +165,11 @@ _AXIOM_CELLS = 1 << 20
 
 def _digits(ring: GradedLieRing) -> list[tuple[np.ndarray, int]]:
     """Each layer's coset of every element id, with the layer's weight:
-    ids in `elements()` order are mixed radix, the first layer's coset
-    the least significant digit."""
-    ids, weight, out = np.arange(ring.order), 1, []
-    for layer in ring.layers:
-        out.append((ids // weight % layer.quotient.order, weight))
-        weight *= layer.quotient.order
-    return out
+    ids in `elements()` order are `groups._digits` over the layer orders
+    reversed, so layer i is digit k-1-i, the least significant first."""
+    orders = [layer.quotient.order for layer in ring.layers]
+    weights, coords = _mixed_radix(orders[::-1])
+    return list(zip(coords[::-1], weights[::-1].tolist()))
 
 
 def _bracket_ids(ring: GradedLieRing, digits, vs: slice = slice(None)) -> np.ndarray:

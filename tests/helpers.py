@@ -52,6 +52,14 @@ def naive_is_subgroup(G, elems):
     )
 
 
+def reference_normal_within(G, inner, outer):
+    """Whether inner is a normal subgroup of outer, both inside G: every
+    conjugate g s g^-1 by g in outer of s in inner lies in inner."""
+    t, inv = G.table, G.inverses
+    return all(t[t[g][s]][inv[g]] in inner.as_set()
+               for g in outer.elements for s in inner.elements)
+
+
 def reference_subgroups(G):
     """Every subgroup as a sorted element tuple, sorted by (order,
     elements): each subgroup above the trivial one is a smaller one with

@@ -11,8 +11,14 @@ from rbgroups.derived import (
     structure_report,
 )
 from rbgroups.enumeration import graph_enumerate
-from rbgroups.errors import InvalidInput
-from rbgroups.groups import automorphisms, exact_factorizations, is_isomorphic
+from rbgroups.errors import InvalidInput, StructureViolation
+from rbgroups.groups import (
+    GroupMap,
+    Subgroup,
+    automorphisms,
+    exact_factorizations,
+    is_isomorphic,
+)
 from rbgroups.operators import conjugate, elementary, rb_operator, tilde, verify
 
 
@@ -180,6 +186,37 @@ def test_structure_report_on_factorizations(name, count):
         assert rep.quotient_order == 1
         assert [list(row) for row in rep.derived.circle_table] == \
             reference_twisted_table(G, B)
+
+
+@pytest.mark.parametrize("name, images, target, subgroup, message", [
+    ("S3", [0] * 6, "kernel", [0, 1], "kernel is not normal in the twisted group"),
+    ("S3", [0] * 6, "bplus", [0, 1],
+     "companion kernel is not normal in the twisted group"),
+    ("D6", [0, 2, 0, 0, 2, 2, 2, 0, 0, 2, 0, 2], "kernel", [0, 11],
+     "kernel is not normal in the companion image"),
+    ("S3", [0, 1, 1, 0, 0, 1], "image", range(6),
+     "companion kernel is not normal in the image"),
+], ids=["a-kernel", "a-companion", "b-kernel", "b-companion"])
+def test_structure_report_refuses_non_normal_kernels(monkeypatch, name, images,
+                                                     target, subgroup, message):
+    # facts (a) and (b) are theorems, so no valid operator reaches their
+    # refusals: each case swaps in a subgroup that breaks one of them, as
+    # B's kernel, as the companion's kernel and image (a companion map
+    # with kernel and image the order-2 subgroup {0, 1} of S3), or as B's
+    # image, in which the companion kernel {0, 1} of S3 is not normal;
+    # every earlier fact still holds
+    G = corpus_group(name)
+    op = rb_operator(G, images)
+    assert verify(op)
+    fake = Subgroup(G, subgroup)
+    if target == "bplus":
+        companion = GroupMap.plain(G, G, [0 if g in fake else 1 for g in G.elements()])
+        monkeypatch.setattr(derived, "bplus", lambda _op: companion)
+    else:
+        monkeypatch.setattr(derived, target, lambda _op: fake)
+    with pytest.raises(StructureViolation) as info:
+        structure_report(op)
+    assert str(info.value) == message
 
 
 def test_report_caches_no_twisted_array():

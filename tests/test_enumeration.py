@@ -258,23 +258,25 @@ def test_census_contains_elementaries(d4):
 
 
 _CENSUS_WORK = [
-    ("S3", 8, 12, 19, 3), ("D4", 56, 30, 46, 6), ("Q8", 8, 18, 26, 5),
-    ("Z2xZ2xZ2", 512, 66, 91, 4), ("A4", 18, 23, 38, 3), ("D6", 80, 49, 93, 11),
-    ("S4", 100, 93, 168, 6), ("Heis3", 810, 58, 153, 8), ("A5", 62, 153, 287, 2),
+    ("S3", 8, 12, 19, 3, 6), ("D4", 56, 30, 46, 6, 10), ("Q8", 8, 18, 26, 5, 6),
+    ("Z2xZ2xZ2", 512, 66, 91, 4, 16), ("A4", 18, 23, 38, 3, 10),
+    ("D6", 80, 49, 93, 11, 16), ("S4", 100, 93, 168, 6, 30),
+    ("Heis3", 810, 58, 153, 8, 19), ("A5", 62, 153, 287, 2, 59),
 ]
 
 
-@pytest.mark.parametrize("name, size, n_pairs, n_closures, n_isos", _CENSUS_WORK,
+@pytest.mark.parametrize("name, size, n_pairs, n_closures, n_isos, n_subs", _CENSUS_WORK,
                          ids=[case[0] for case in _CENSUS_WORK])
 def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
-                                              n_closures, n_isos):
-    # one subgroup sweep of G, one quotient per (subgroup, normal
-    # subgroup) pair, counted independently on each subgroup repacked,
-    # and one isomorphism search per distinct pair of quotient tables:
-    # 48 over these nine groups, where a search per candidate pair of
-    # quotients made 1937.  A pair of equal tables skips the invariant
-    # screen; any other pair screens each of its two groups once.  The
-    # quotient tables are built unchecked, so no closure is spent on them.
+                                              n_closures, n_isos, n_subs):
+    # one subgroup sweep of G, one normalizer gather per subgroup, one
+    # quotient per (subgroup, normal subgroup) pair, counted independently
+    # on each subgroup repacked, and one isomorphism search per distinct
+    # pair of quotient tables: 48 over these nine groups, where a search
+    # per candidate pair of quotients made 1937.  A pair of equal tables
+    # skips the invariant screen; any other pair screens each of its two
+    # groups once.  The quotient tables are built unchecked, so no
+    # closure is spent on them.
     G = corpus_group(name)
     subs = all_subgroups(G)
     pairs = sum(
@@ -284,7 +286,7 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
     sweeps = []
     quotients = []
     searched = []
-    calls = {"closures": 0, "screens": 0}
+    calls = {"closures": 0, "screens": 0, "normalizers": 0}
     real_sweep, real_quotient = enumeration.all_subgroups, enumeration._coset_quotient
     real_isos = enumeration.isomorphisms_all
 
@@ -307,13 +309,16 @@ def test_graph_census_builds_factor_data_once(monkeypatch, name, size, n_pairs,
                         counting(calls, "closures", groups._closure))
     monkeypatch.setattr(groups, "_iso_invariants",
                         counting(calls, "screens", groups._iso_invariants))
+    monkeypatch.setattr(enumeration, "_normalizer",
+                        counting(calls, "normalizers", enumeration._normalizer))
     census = graph_enumerate(G)
     assert len(census) == size
-    assert sweeps == [G]
+    assert sweeps == [G] and len(subs) == n_subs
     assert len(quotients) == len(set(quotients)) == pairs == n_pairs
     assert len(searched) == len(set(searched)) == n_isos
     unequal = sum(a != c for a, c in searched)
-    assert calls == {"closures": n_closures, "screens": 2 * unequal}
+    assert calls == {"closures": n_closures, "screens": 2 * unequal,
+                     "normalizers": n_subs}
 
 
 @pytest.mark.parametrize(
