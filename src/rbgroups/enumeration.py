@@ -22,16 +22,18 @@ g B(g) h B(g)^-1, which is exactly the defining identity for B.  The two
 directions are mutually inverse, so the census of subgroups is the
 census of operators, with no duplicates on either side.
 
-Subgroups of G x G are walked through their factor data (projections,
-the two slice kernels, and the identifying isomorphism between the
-quotients), so the product group is never materialized; this keeps A5
-tractable.  G's subgroups are swept once per call, by conjugacy classes
-(`all_subgroups`): those of a subgroup S are the ones inside S, so S's
-normal subgroups, quotients and coset fibers are read off that lattice
-in G's ids, once, and shared by every visit to S; N is normal in S when
-S <= N_G(N), one gather per N.  The isomorphisms between two quotients
-are searched once per distinct pair of quotient tables and shared by
-every candidate with that pair.  Nothing outlives the call.
+Subgroups of G x G are walked by Goursat's lemma, so the product group
+is never materialized; this keeps A5 tractable.  Such a subgroup is
+fixed by its projections A and C, its slice kernels B <| A and D <| C,
+and an isomorphism A/B -> C/D.  Its order is |A||D| = |B||C|, so it has
+order |G| exactly when |C| = |G|/|B| and |D| = |G|/|A|.  G's subgroups
+are swept once per call, by conjugacy classes (`all_subgroups`), and
+read into one list of factors (S, N, S/N, coset map, coset fibers), one
+per pair N <= S with S <= N_G(N), one normalizer gather per N.  The walk
+pairs each factor (A, B) only with the factors of shape
+(|G|/|B|, |G|/|A|).  The isomorphisms between two quotients are searched
+once per distinct pair of quotient tables and shared by every candidate
+with that pair.  Nothing outlives the call.
 
 Decoding and the check run in batches.  The walk appends each subgroup
 it finds as one row of |G| pairs, and once the pending rows hold
@@ -62,14 +64,7 @@ from .groups import (
     is_simple,
     isomorphisms_all,
 )
-from .operators import (
-    RBOperator,
-    _require_valid,
-    _valid_rows,
-    elementary,
-    tilde,
-    verify,
-)
+from .operators import RBOperator, _require_valid, _valid_rows, tilde
 
 DEFAULT_BRUTE_CAP = 8
 _CHUNK_CELLS = 1 << 12  # cells of image rows a census decodes, decides or reports at once
@@ -173,21 +168,24 @@ def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
     )
 
 
-def _factor_data(G: FiniteGroup, subs: list[Subgroup]) -> dict:
-    """{S.elements: one (N, Q, proj, fibers) entry per N in `subs` with
-    N <= S <= N_G(N)} over G's sweep `subs`, in G's ids: Q = S/N, proj
-    the coset map {s: coset id}, fibers[q] the coset q."""
-    T, factors = G.np_table(), {S.elements: [] for S in subs}
-    for N in subs:
-        normalizer = _normalizer(T, G.inverses, N.elements)
-        for S in subs:
-            if S.order % N.order or not N.as_set() <= S.as_set() <= normalizer:
+def _factor_data(G: FiniteGroup, subs: list[Subgroup]) -> list:
+    """One factor (S, N, Q, proj, fibers) per pair N <= S <= N_G(N) of G's
+    sweep `subs`, in G's ids, S-major in `subs` order: Q = S/N, proj the
+    coset map {s: coset id}, fibers[q] the coset q."""
+    T = G.np_table()
+    normalizers = [_normalizer(T, G.inverses, N.elements) for N in subs]
+    factors = []
+    for S in subs:
+        for N, normalizer in zip(subs, normalizers):
+            if N.order > S.order:  # subs is sorted by order
+                break
+            if not N.as_set() <= S.as_set() <= normalizer:
                 continue
             Q, proj = _coset_quotient(G, S.elements, N)
             fibers: dict[int, list[int]] = {}
             for s, q in proj.items():
                 fibers.setdefault(q, []).append(s)
-            factors[S.elements].append((N, Q, proj, fibers))
+            factors.append((S, N, Q, proj, fibers))
     return factors
 
 
@@ -196,62 +194,49 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     diagonal, walking subgroups of the square through their factor data.
 
     Each subgroup of G x G is determined by its two projections A and C,
-    the slice kernels inside them, and an isomorphism between the two
-    quotients; distinct isomorphisms give distinct subgroups, so nothing
-    is deduplicated.  A candidate survives when its order is |G| and no
+    the slice kernels B and D inside them, and an isomorphism A/B -> C/D;
+    distinct isomorphisms give distinct subgroups, so nothing is
+    deduplicated.  Its order |A||D| is |G| exactly when C/D has shape
+    (|G|/|B|, |G|/|A|), so each factor (A, B) of the list is paired only
+    with the factors of that shape, and a candidate survives when no
     nonidentity element pairs with itself.
 
-    G's subgroups are swept once; before the walk, each one's normal
-    subgroups, quotients and coset fibers are read off that lattice in
-    G's ids and shared by every visit as A or as C.  The isomorphisms
-    between two quotients depend only on their tables, so they are
-    searched once per pair of tables and walked as image tuples; nothing
-    is kept after the call.  Each subgroup found is kept as a row of
-    pairs, decoded and decided with its chunk (module docstring).
+    The factor list is read off G's one subgroup sweep before the walk
+    and shared by every visit as A or as C.  The isomorphisms between
+    two quotients depend only on their tables, so they are searched once
+    per pair of tables and walked as image tuples; nothing is kept after
+    the call.  Each subgroup found is kept as a row of pairs, decoded
+    and decided with its chunk (module docstring).
     """
     n = G.order
     e = G.identity
-    subs = all_subgroups(G)
-    by_order: dict[int, list[Subgroup]] = {}
-    for s in subs:
-        by_order.setdefault(s.order, []).append(s)
-    factors = _factor_data(G, subs)
+    factors = _factor_data(G, all_subgroups(G))
+    by_shape: dict[tuple[int, int], list[tuple]] = {}
+    for f in factors:
+        by_shape.setdefault((f[0].order, f[1].order), []).append(f)
 
     isos: dict[tuple, list[tuple[int, ...]]] = {}
     found: list[RBOperator] = []
     xs: list[list[int]] = []
     ys: list[list[int]] = []
     chunk = -(-_CHUNK_CELLS // n)
-    for A in subs:
-        for Bn, QA, projA, _ in factors[A.elements]:
-            if (n % Bn.order) != 0:
-                continue
-            c_order = n // Bn.order
-            quot_order = A.order // Bn.order
-            pa = [projA[x] for x in A.elements]
-            for C in by_order.get(c_order, []):
-                if C.order % quot_order != 0:
+    for A, Bn, QA, projA, _ in factors:
+        d_order = n // A.order
+        X = [x for x in A.elements for _ in range(d_order)]
+        pa = [projA[x] for x in A.elements]
+        for C, _, QC, projC, fibers in by_shape.get((n // Bn.order, d_order), []):
+            key = (QA.table, QC.table)
+            if key not in isos:
+                isos[key] = [phi.images for phi in isomorphisms_all(QA, QC)]
+            common = sorted(A.as_set() & C.as_set())
+            for phi in isos[key]:
+                if any(x != e and phi[projA[x]] == projC[x] for x in common):
                     continue
-                d_order = C.order // quot_order
-                X = None
-                for Dn, QC, projC, fibers in factors[C.elements]:
-                    if Dn.order != d_order:
-                        continue
-                    key = (QA.table, QC.table)
-                    if key not in isos:
-                        isos[key] = [phi.images for phi in isomorphisms_all(QA, QC)]
-                    common = sorted(A.as_set() & C.as_set())
-                    for phi in isos[key]:
-                        if any(x != e and phi[projA[x]] == projC[x]
-                               for x in common):
-                            continue
-                        if X is None:
-                            X = [x for x in A.elements for _ in range(d_order)]
-                        xs.append(X)
-                        ys.append([y for q in pa for y in fibers[phi[q]]])
-                        if len(ys) == chunk:
-                            found += _decode_rows(G, xs, ys)
-                            xs, ys = [], []
+                xs.append(X)
+                ys.append([y for q in pa for y in fibers[phi[q]]])
+                if len(ys) == chunk:
+                    found += _decode_rows(G, xs, ys)
+                    xs, ys = [], []
     if ys:
         found += _decode_rows(G, xs, ys)
 
@@ -273,27 +258,6 @@ def _decode_rows(G: FiniteGroup, X: list, Y: list) -> list[RBOperator]:
         raise StructureViolation(
             "difference map not injective despite trivial diagonal")
     return _valid_rows(G, images, 1, "decoded subgroup")
-
-
-def _decode_graph(G: FiniteGroup, pairs) -> RBOperator:
-    """The operator B(x y^-1) = y read off the pairs (x, y) of a
-    diagonal-free subgroup of G x G of order |G|, as the module docstring
-    decodes it, with the one full check."""
-    t, inv = G.table, G.inverses
-    images = [-1] * G.order
-    for x, y in pairs:
-        g = t[x][inv[y]]
-        if images[g] != -1:
-            raise StructureViolation(
-                "difference map not injective despite trivial diagonal")
-        images[g] = y
-    if -1 in images:
-        raise StructureViolation("decoded map is not total")
-    op = RBOperator(G, images, weight=1)
-    v = verify(op)
-    if not v:
-        raise StructureViolation(f"decoded subgroup fails verification at {v.witness}")
-    return op
 
 
 def classify(census: Census) -> Census:
@@ -354,7 +318,7 @@ def is_rb_elementary(G: FiniteGroup, census: Optional[Census] = None) -> Element
         census = graph_enumerate(G)
     if census.classes is None:
         census = classify(census)
-    allowed = {elementary(G, "b0").images, elementary(G, "b_minus1").images}
+    allowed = {(G.identity,) * G.order, tuple(G.inverses)}
     bad = tuple(
         i for i, op in enumerate(census.operators) if op.images not in allowed
     )

@@ -57,10 +57,9 @@ import random
 import numpy as np
 
 from .derived import _circle_product
-from .enumeration import _decode_graph
-from .errors import CondFails, InvalidInput
+from .errors import CondFails, InvalidInput, StructureViolation
 from .groups import FiniteGroup, GroupMap, subgroup_generated
-from .operators import RBOperator
+from .operators import RBOperator, verify
 
 __all__ = [
     "Word",
@@ -478,3 +477,24 @@ def _decide(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
         via="closure" if node is top else "search",
         operator=_decode_graph(G, node.pairs(G)),
     ), top
+
+
+def _decode_graph(G: FiniteGroup, pairs) -> RBOperator:
+    """The operator B(x y^-1) = y read off the pairs (x, y) of a
+    diagonal-free subgroup of G x G of order |G|, as the module docstring
+    decodes it, with the one full check."""
+    t, inv = G.table, G.inverses
+    images = [-1] * G.order
+    for x, y in pairs:
+        g = t[x][inv[y]]
+        if images[g] != -1:
+            raise StructureViolation(
+                "difference map not injective despite trivial diagonal")
+        images[g] = y
+    if -1 in images:
+        raise StructureViolation("decoded map is not total")
+    op = RBOperator(G, images, weight=1)
+    v = verify(op)
+    if not v:
+        raise StructureViolation(f"decoded subgroup fails verification at {v.witness}")
+    return op

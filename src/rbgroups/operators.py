@@ -30,8 +30,9 @@ permutation closures, pair closures and twisted groups); the maps of
 and a closure group's image map); the Lie-ring bracket and layer maps,
 read at one coset representative by the two theorems `lie_ring` states.
 `is_splitting`, `bplus`, the twisted group in `derived`, the splitting
-report in `enumeration`, the decoded extension in `extension` and the
-constructions trust their theorems.  The public `Subgroup`, `GroupMap`
+report in `enumeration`, the prescribed values of a decoded extension
+in `extension` (the operator itself is verified) and the constructions
+trust their theorems.  The public `Subgroup`, `GroupMap`
 and `GroupMap.hom` check in full, and `from_cayley_table` validates
 every table from outside.
 """

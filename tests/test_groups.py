@@ -31,6 +31,7 @@ from rbgroups.errors import (
     NotAssociative,
     NotHomomorphism,
     NotLatinSquare,
+    NotNormal,
     OrderCapExceeded,
 )
 from rbgroups.constructions import cascade_rb
@@ -327,9 +328,8 @@ def test_proved_subgroup_tables(name):
         assert packed.group.labels == tuple(G.label(g) for g in ids)
         _assert_proved(packed.group)
     if name == "S4":
-        for entries in _factor_data(G, subs).values():
-            for _, Q, _, _ in entries:
-                _assert_proved(Q)
+        for _, _, Q, _, _ in _factor_data(G, subs):
+            _assert_proved(Q)
 
 
 def test_proved_product_tables():
@@ -594,7 +594,9 @@ def test_is_normal_agrees_with_conjugation_loop(name):
 def test_normal_within_gather_agrees_with_loop(name):
     # inner is normal in outer exactly when outer lies in the normalizer
     # of inner, which the census and the structure report read; against
-    # the conjugation loop, on every pair of subgroups inner <= outer
+    # the conjugation loop, on every pair of subgroups inner <= outer.
+    # The census's factor list holds exactly the normal pairs, S-major in
+    # sweep order, each with the cosets of N in S and |Q| = |S|/|N|.
     G = _MORE_GROUPS.get(name, lambda: corpus_group(name))()
     subs = all_subgroups(G)
     for inner in subs:
@@ -603,6 +605,16 @@ def test_normal_within_gather_agrees_with_loop(name):
             if inner.as_set() <= outer.as_set():
                 assert (outer.as_set() <= normalizer) == \
                     reference_normal_within(G, inner, outer)
+    factors = _factor_data(G, subs)
+    assert [(S.elements, N.elements) for S, N, *_ in factors] == [
+        (S.elements, N.elements) for S in subs for N in subs
+        if N.as_set() <= S.as_set() and reference_normal_within(G, N, S)]
+    t = G.table
+    for S, N, Q, proj, fibers in factors:
+        cosets = {tuple(sorted(t[s][u] for u in N.elements)) for s in S.elements}
+        assert sorted(tuple(sorted(c)) for c in fibers.values()) == sorted(cosets)
+        assert all(proj[s] == q for q, coset in fibers.items() for s in coset)
+        assert Q.order == S.order // N.order == len(fibers)
 
 
 def test_quotient(s3, d4):
@@ -611,6 +623,8 @@ def test_quotient(s3, d4):
     assert proj.homomorphism
     Z, _ = quotient(d4, center(d4))
     assert is_isomorphic(Z, corpus_group("Z2xZ2")) is not None
+    with pytest.raises(NotNormal, match=r"^subgroup \(0, 1\) is not normal$"):
+        quotient(s3, subgroup_generated(s3, [1]))
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "A5"])
