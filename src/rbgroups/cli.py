@@ -228,7 +228,7 @@ def cmd_derived(args) -> int:
     if args.word is not None:
         out["word_value"] = eval_word(op, circle_word(_parse_word(args.word)))
     if args.table:
-        out["circle_table"] = [list(row) for row in rep.derived.circle_table]
+        out["circle_table"] = rep.derived.group.np_table().tolist()
     return _emit(out)
 
 

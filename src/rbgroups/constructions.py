@@ -61,7 +61,7 @@ __all__ = [
 
 
 def _same_table(A: FiniteGroup, B: FiniteGroup) -> bool:
-    return A is B or A.table == B.table
+    return A is B or np.array_equal(A.np_table(), B.np_table())
 
 
 def _require_valid_on(C: RBOperator, L: FiniteGroup, what: str) -> None:

@@ -12,7 +12,7 @@ The twisted table is one gather over G's table, and each operator has
 one twisted group, memoized on it, which the report returns.  The report
 reads its facts off tables, the quotient tables among them (loops, as
 `groups` explains).  Facts (a) and (b) read kernels' normalizers, (a)'s
-off a fresh twisted array, which `is_normal` would cache on the group.
+off the twisted group's own array: one gather per operator in all.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, StructureViolation
-from .groups import FiniteGroup, GroupMap, Subgroup, _coset_quotient, _normalizer
+from .groups import FiniteGroup, GroupMap, Subgroup, _coset_quotient, _normalizer, is_normal
 from .operators import RBOperator, _require_valid, bplus, image, kernel
 
 __all__ = [
@@ -161,9 +161,6 @@ def structure_report(op: RBOperator) -> StructureReport:
     """
     dg = derived_group(op)
     G, B = op.group, op.images
-    # fact (a) is read off the twisted product as an array, gathered again
-    # from G's: the twisted group keeps no array of its own
-    twisted, circle = dg.group, _twisted_table(op)
 
     ker_b = kernel(op)
     im_b = image(op)
@@ -180,12 +177,12 @@ def structure_report(op: RBOperator) -> StructureReport:
     for sub_elems, tag in ((ker_b.elements, "kernel"), (ker_bp.elements,
                                                         "companion kernel")):
         try:
-            Subgroup(twisted, sub_elems)
+            sub = Subgroup(dg.group, sub_elems)
         except InvalidInput as exc:
             raise StructureViolation(
                 f"{tag} is not a twisted-product subgroup: {exc}"
             ) from exc
-        if len(_normalizer(circle, twisted.inverses, sub_elems)) != twisted.order:
+        if not is_normal(sub):
             raise StructureViolation(f"{tag} is not normal in the twisted group")
 
     if not ker_b.as_set() <= im_bp.as_set():

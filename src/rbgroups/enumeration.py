@@ -171,9 +171,10 @@ def graph_of_operator(op: RBOperator) -> frozenset[tuple[int, int]]:
 def _factor_data(G: FiniteGroup, subs: list[Subgroup]) -> list:
     """One factor (S, N, Q, proj, fibers) per pair N <= S <= N_G(N) of G's
     sweep `subs`, in G's ids, S-major in `subs` order: Q = S/N, proj the
-    coset map {s: coset id}, fibers[q] the coset q."""
+    coset map {s: coset id}, fibers[q] the coset q; one Q per table."""
     T = G.np_table()
     normalizers = [_normalizer(T, G.inverses, N.elements) for N in subs]
+    quotients: dict[tuple, FiniteGroup] = {}
     factors = []
     for S in subs:
         for N, normalizer in zip(subs, normalizers):
@@ -181,7 +182,7 @@ def _factor_data(G: FiniteGroup, subs: list[Subgroup]) -> list:
                 break
             if not N.as_set() <= S.as_set() <= normalizer:
                 continue
-            Q, proj = _coset_quotient(G, S.elements, N)
+            Q, proj = _coset_quotient(G, S.elements, N, "", quotients)
             fibers: dict[int, list[int]] = {}
             for s, q in proj.items():
                 fibers.setdefault(q, []).append(s)
@@ -215,7 +216,8 @@ def graph_enumerate(G: FiniteGroup) -> Census:
     for f in factors:
         by_shape.setdefault((f[0].order, f[1].order), []).append(f)
 
-    isos: dict[tuple, list[tuple[int, ...]]] = {}
+    isos: dict[tuple[FiniteGroup, FiniteGroup], list[tuple[int, ...]]] = {}
+    meets: dict[tuple[int, int], list[int]] = {}  # A & C, by (id(A), id(C))
     found: list[RBOperator] = []
     xs: list[list[int]] = []
     ys: list[list[int]] = []
@@ -225,12 +227,14 @@ def graph_enumerate(G: FiniteGroup) -> Census:
         X = [x for x in A.elements for _ in range(d_order)]
         pa = [projA[x] for x in A.elements]
         for C, _, QC, projC, fibers in by_shape.get((n // Bn.order, d_order), []):
-            key = (QA.table, QC.table)
+            key = (QA, QC)
             if key not in isos:
                 isos[key] = [phi.images for phi in isomorphisms_all(QA, QC)]
-            common = sorted(A.as_set() & C.as_set())
+            pair = (id(A), id(C))
+            if pair not in meets:
+                meets[pair] = sorted(A.as_set() & C.as_set())
             for phi in isos[key]:
-                if any(x != e and phi[projA[x]] == projC[x] for x in common):
+                if any(x != e and phi[projA[x]] == projC[x] for x in meets[pair]):
                     continue
                 xs.append(X)
                 ys.append([y for q in pa for y in fibers[phi[q]]])

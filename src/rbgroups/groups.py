@@ -15,16 +15,13 @@ normality question as K <= N_G(N).  `_coset_quotient` stays a loop: a
 census builds hundreds of quotients, most of order 4 or less, where
 numpy's fixed cost outweighs a loop.
 
-How an array becomes a group.  The rows are made once, as tuples.
-CPython keeps one int object for each of -5..256, so up to order 256
-`tolist()` already shares one object per id.  Above order 256 the rows
-are read through an object array of range(n), a block of rows at a
-time, so each cell refers to the one int made for its id: a table of
-order n holds n ints, not up to n^2, also when it comes from outside:
-an A7 group file (order 2520) leaves 2520 distinct ints, not 5.7M.
-The identity is the row whose column-0 entry is 0, and the inverse of
-g the column of the identity in row g; `FiniteGroup._proved` says when
-numpy reads them.  The array is not kept.
+What a group stores.  One read-only, C-contiguous int32 array, which
+`np_table()` returns and `_proved` reads the identity and inverses from.
+`table`, the rows as tuples for the Python loops that index cells, is
+built on first read, so a group read only as an array (a pair closure,
+a product that is only serialized) never builds it.  Its rows hold one
+int object per id (`_id_rows`): an A7 group file (order 2520) leaves
+2520 distinct ints, not 5.7M.
 
 Every product numbers its elements by one mixed-radix coding, `_digits`,
 kept as `weights` and `coords` (a wreath product codes its base
@@ -42,14 +39,14 @@ checks the limit on every call, before it reads the memo; for |G| >= 2
 the memoized tables hold at most 4/3 of the largest one.
 
 How the axioms are decided.  `_validate_table` runs its checks in a
-fixed order: ragged rows and out-of-range entries, every row a
-permutation, every column a permutation, a two-sided identity,
-associativity, two-sided inverses.  An outside table is read row by row
-with int() for the first two; an integer array is checked as it is.
-The Latin, associativity and inverse checks are array operations on the
-n x n table.  Once the table is Latin, O(n) reads settle the identity.
-Associativity is decided exactly by Light's test (Clifford and Preston,
-The Algebraic Theory of Semigroups I, 1.2): it compares (x*s)*y with
+fixed order: ragged rows, non-integer and out-of-range entries, every
+row a permutation, every column a permutation, a two-sided identity,
+associativity; two-sided inverses then follow (`_validate_table`).  An
+outside table is read row by row for the first three; an integer array
+is checked as it is.  The Latin and associativity checks are array
+operations on the n x n table.  Once the table is Latin, O(n) reads
+settle the identity.  Associativity is decided exactly by Light's test
+(Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2): it compares (x*s)*y with
 x*(s*y) over all x, y for each s of a generating set chosen greedily
 from the table, at most ceil(log2 n) of them, so it costs O(n^2 log n)
 rather than the O(n^3) of a scan over all triples.  That scan
@@ -62,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -153,10 +151,21 @@ def _require_order(n: int, what: str) -> None:
 # table validation
 
 
+def _int_entries(row) -> Optional[list[int]]:
+    """The entries as ints, or None if one is not a Python or numpy
+    integer: int() would also take a bool, a float or a string."""
+    if bool in map(type, row):
+        return None
+    try:
+        return list(map(operator.index, row))
+    except TypeError:
+        return None
+
+
 def _table_rows(table) -> tuple[list[list[int]], np.ndarray]:
-    """The table as rows of ints and as an n x n integer array, after the
-    ragged-row and range checks.  An integer ndarray is checked as it is;
-    any other table is read row by row with int()."""
+    """The table as rows of ints and as a new n x n int32 array, after the
+    ragged-row, integer and range checks.  An integer ndarray is checked
+    as it is, and copied; any other table is read row by row."""
     n = len(table)
     if n == 0:
         raise NotLatinSquare("empty table")
@@ -166,12 +175,15 @@ def _table_rows(table) -> tuple[list[list[int]], np.ndarray]:
         if table.min() < 0 or table.max() >= n:
             i, j = divmod(int(((table < 0) | (table >= n)).argmax()), n)
             raise NotLatinSquare(f"row {i} contains out-of-range entry {table[i, j]}")
-        return table.tolist(), table
+        return table.tolist(), table.astype(np.int32, order="C")
     rows = []
-    for i, row in enumerate(table):
-        row = list(map(int, row))
-        if len(row) != n:
-            raise NotLatinSquare(f"row {i} has length {len(row)}, expected {n}")
+    for i, raw in enumerate(table):
+        if len(raw) != n:
+            raise NotLatinSquare(f"row {i} has length {len(raw)}, expected {n}")
+        row = _int_entries(raw)
+        if row is None:
+            x = next(x for x in raw if _int_entries((x,)) is None)
+            raise NotLatinSquare(f"row {i} contains non-integer entry {x!r}")
         if min(row) < 0 or max(row) >= n:
             x = next(x for x in row if not 0 <= x < n)
             raise NotLatinSquare(f"row {i} contains out-of-range entry {x}")
@@ -180,17 +192,17 @@ def _table_rows(table) -> tuple[list[list[int]], np.ndarray]:
 
 
 def _validate_table(table) -> np.ndarray:
-    """Check the group axioms on a raw table; return it as an n x n
-    integer array."""
+    """Check the group axioms on a raw table; return it as a new n x n
+    int32 array.  Inverses need no check: in a Latin table with identity
+    e that passes Light's test, g x = e and y g = e for some x and y (row
+    and column g are permutations), and y = y(gx) = (yg)x = x."""
     rows, t = _table_rows(table)
     n = len(rows)
-    # where[0, i, v] is the column of v in row i, where[1, j, v] the row
-    # of v in column j, and -1 where the row or column lacks v
+    # seen[0, i, v] says that row i holds v, and seen[1, j, v] column j
     idx = np.arange(n)
-    where = np.full((2, n, n), -1, dtype=np.int32)
-    where[0, idx[:, None], t] = idx
-    where[1, idx, t] = idx[:, None]
-    latin = (where >= 0).all(axis=2)
+    seen = np.zeros((2, n, n), dtype=bool)
+    seen[0, idx[:, None], t] = seen[1, idx, t] = True
+    latin = seen.all(axis=2)
     if not latin.all():
         which, i = divmod(int(latin.argmin()), n)
         kind = ("row", "column")[which]
@@ -204,11 +216,6 @@ def _validate_table(table) -> np.ndarray:
         raise NoIdentity("no two-sided identity element")
 
     _check_light(rows, t, identity)
-
-    # g*x = e for x = where[0, g, e], and y*g = e for y = where[1, g, e]
-    one_sided = where[0, :, identity] != where[1, :, identity]
-    if one_sided.any():
-        raise NotAssociative(f"one-sided inverse at element {int(one_sided.argmax())}")
     return t
 
 
@@ -253,17 +260,18 @@ def _check_associative(t: np.ndarray) -> None:
 # cells `_id_rows` gathers at a time, which bound its object array
 _SHARED_IDS = 256
 _ROW_CELLS = 1 << 14
-# `_proved` reads the identity and inverses of larger arrays by numpy
-_NUMPY_READS = 24
 
 
-def _id_rows(t: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The rows of an n x n array of ids as tuples, with one int object
-    per id: above order 256 through an object array of range(n)."""
+def _id_rows(t: np.ndarray, inverses: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows of a group's n x n array of ids as tuples, with one int
+    object per id.  Up to order 256 `tolist()` shares CPython's cached
+    ints; above it the rows are read, a block at a time, through an
+    object array of the inverses' own ints (ids[g] = inverses[inv(g)])."""
     n = len(t)
     if n <= _SHARED_IDS:
         return tuple(map(tuple, t.tolist()))
-    ids = np.array(range(n), dtype=object)
+    inv = np.array(inverses, dtype=object)
+    ids = inv[inv.astype(np.intp)]
     step = max(1, _ROW_CELLS // n)
     rows: list[tuple[int, ...]] = []
     for a in range(0, n, step):
@@ -281,57 +289,36 @@ class FiniteGroup:
     outside reaches it only after `from_cayley_table` has validated it.
     """
 
-    __slots__ = (
-        "order",
-        "table",
-        "identity",
-        "inverses",
-        "name",
-        "labels",
-        "_np",
-        "_orders",
-        "_abelian",
-        "_center",
-        "_derived",
-        "_powers",
-    )
+    __slots__ = ("order", "identity", "inverses", "name", "labels", "_np", "_rows",
+                 "_orders", "_abelian", "_center", "_derived", "_powers")
 
     @classmethod
     def _proved(cls, table, name: str = "",
                 labels: Optional[Sequence[str]] = None) -> "FiniteGroup":
         """A table proved a group by a theorem, a closure or
-        `from_cayley_table`'s checks, as rows or an integer array.  Nothing
-        is checked: the identity is the one row e with e*0 = 0, and the
-        inverse of g is the column of e in row g.
-
-        Rows are read once, by `_id_rows`.  The identity and inverses of an
-        array above order 24 are read by numpy: the argmin of column 0, and
-        per row the argmax of table == e, taken from row e so that the
-        inverses share its int objects.  Smaller arrays and list rows take
-        the Python scans.  The two reads alone, best of 15: Z2 0.6 us by
-        Python against 2.1 us by numpy, S3 0.9 against 2.3, S4 (order 24)
-        3.7 against 3.5, A5 17.5 against 6.6, S3^3 (216) 189 against 29.
-        The array is not kept as the `np_table()` cache: most proved tables
-        never need it, and a caller holding many groups would hold both
-        forms.
-        """
-        is_array = isinstance(table, np.ndarray)
-        rows = _id_rows(table) if is_array else tuple(map(tuple, table))
-        if is_array and len(rows) > _NUMPY_READS:
-            e = int(table[:, 0].argmin())
-            inverses = tuple(map(rows[e].__getitem__,
-                                 (table == e).argmax(axis=1).tolist()))
-        else:
-            e = [row[0] for row in rows].index(0)
-            inverses = tuple([row.index(e) for row in rows])
+        `from_cayley_table`'s checks, as an integer array or list rows,
+        stored unchecked as a read-only, C-contiguous int32 array, copied
+        only when it is not one already (a view such as a transpose,
+        another dtype, list rows): the caller hands over an array nothing
+        else writes to.  The identity is the row e with e*0 = 0, and the
+        inverse of g the column of e in row g; above order 256 they are
+        read through an object array of range(n), whose ints `table`
+        shares (`_id_rows`)."""
+        t = np.ascontiguousarray(table, dtype=np.int32)
+        t.flags.writeable = False
+        n = len(t)
+        e = int(t[:, 0].argmin())
+        inv = (t == e).argmax(axis=1)
+        if n > _SHARED_IDS:
+            inv = np.array(range(n), dtype=object)[inv]
         out = cls.__new__(cls)
-        out.table = rows
-        out.order = len(rows)
+        out._np = t
+        out._rows = None
+        out.order = n
         out.identity = e
-        out.inverses = inverses
+        out.inverses = tuple(inv.tolist())
         out.name = name
         out.labels = tuple(labels) if labels is not None else None
-        out._np = None
         out._orders = None
         out._abelian = None
         out._center = None
@@ -351,6 +338,13 @@ class FiniteGroup:
         for x in elems:
             if not 0 <= x < self.order:
                 raise InvalidInput(f"element {x} out of range for order {self.order}")
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, for Python loops: built on first read."""
+        if self._rows is None:
+            self._rows = _id_rows(self._np, self.inverses)
+        return self._rows
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -416,8 +410,7 @@ class FiniteGroup:
         return self._abelian
 
     def np_table(self) -> np.ndarray:
-        if self._np is None:
-            self._np = np.array(self.table, dtype=np.int32)
+        """The stored table: a read-only n x n int32 array."""
         return self._np
 
     def label(self, a: int) -> str:
@@ -433,7 +426,8 @@ def from_cayley_table(
 ) -> FiniteGroup:
     """Build a group from a full multiplication table, validating the axioms.
 
-    The table is a sequence of rows, or an n x n integer ndarray."""
+    The table is a sequence of rows of integers, or an n x n integer
+    ndarray, which is copied: the group neither keeps nor freezes it."""
     _require_order(len(table), f"order {len(table)}")
     return FiniteGroup._proved(_validate_table(table), name=name, labels=labels)
 
@@ -470,10 +464,10 @@ def from_permutations(gens: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     k = len(gens[0])
     gtuples = []
     for idx, p in enumerate(gens):
-        p = tuple(int(x) for x in p)
-        if len(p) != k or sorted(p) != list(range(k)):
+        p = _int_entries(p)
+        if p is None or len(p) != k or sorted(p) != list(range(k)):
             raise InvalidInput(f"generator {idx} is not a permutation of 0..{k - 1}")
-        gtuples.append(p)
+        gtuples.append(tuple(p))
 
     # breadth first: right[j][i] is the id of elems[i] * gens[j], and
     # elems[c] is first reached as elems[a] * gens[j], parent[c] = (a, j)
@@ -870,17 +864,21 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     return Q, GroupMap._proved(G, Q, tuple(coset.values()), N.order == 1)
 
 
-def _coset_quotient(G: FiniteGroup, elements: Iterable[int], N: Subgroup,
-                    name: str = "") -> tuple[FiniteGroup, dict[int, int]]:
+def _coset_quotient(G: FiniteGroup, elements: Iterable[int], N: Subgroup, name: str = "",
+                    quotients: Optional[dict] = None) -> tuple[FiniteGroup, dict[int, int]]:
     """S/N in G's ids, for the subgroup S of G with the given elements and
     a normal subgroup N of S, which the caller ensures: Q and the coset map
-    {s: coset id}, cosets numbered in the order of their least elements."""
+    {s: coset id}, cosets numbered in the order of their least elements.
+    A dict `quotients` shares one Q per table across calls."""
     t = G.table
     key = {s: min(t[s][u] for u in N.elements) for s in elements}
     rank = {r: i for i, r in enumerate(sorted(set(key.values())))}
     coset = {s: rank[r] for s, r in key.items()}
-    table = [[coset[t[a][b]] for b in rank] for a in rank]
-    return FiniteGroup._proved(table, name=name), coset
+    table = tuple([tuple([coset[t[a][b]] for b in rank]) for a in rank])
+    quotients = {} if quotients is None else quotients
+    if table not in quotients:
+        quotients[table] = FiniteGroup._proved(table, name=name)
+    return quotients[table], coset
 
 
 def is_simple(G: FiniteGroup) -> bool:
@@ -1252,7 +1250,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 def _may_be_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     """False when a cheap invariant tells G and H apart.  Equal tables
     are isomorphic, and skip the invariants."""
-    if G.table == H.table:
+    if np.array_equal(G.np_table(), H.np_table()):
         return True
     return G.order == H.order and _iso_invariants(G) == _iso_invariants(H)
 

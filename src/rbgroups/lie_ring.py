@@ -324,10 +324,10 @@ def verify_lie_rb(ind: InducedRB) -> LieVerdict:
     """
     ring = ind.ring
     for layer, m in zip(ring.layers, ind.layer_maps):
-        q = layer.quotient
+        q, t = layer.quotient, layer.quotient.table
         for a in q.elements():
             for b in q.elements():
-                if m[q.table[a][b]] != q.table[m[a]][m[b]]:
+                if m[t[a][b]] != t[m[a]][m[b]]:
                     return LieVerdict(False, (layer.degree, a, b, "additivity"))
     maps = ind.layer_maps
     for i, li in enumerate(ring.layers):

@@ -49,7 +49,7 @@ def dumps(obj) -> str:
 
 
 def group_hash(G: FiniteGroup) -> str:
-    blob = json.dumps([list(row) for row in G.table],
+    blob = json.dumps(G.np_table().tolist(),
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -58,7 +58,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     out = {
         "name": G.name,
         "kind": "table",
-        "table": [list(row) for row in G.table],
+        "table": G.np_table().tolist(),
     }
     if G.labels is not None:
         out["labels"] = list(G.labels)

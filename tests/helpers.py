@@ -154,7 +154,8 @@ def reference_group_axioms(table):
     message), or (identity, inverses) when it passes them all.
 
     Plain loops over the definitions, in the library's order: each row's
-    length and then its entries' range, row by row; every row, then every
+    length, then whether its entries are integers (Python or numpy ints,
+    not bools), then their range, row by row; every row, then every
     column, a permutation of 0..n-1; a two-sided identity; (a*b)*c =
     a*(b*c) for every triple, O(n^3), compared for all (b, c) of one a at
     a time as two arrays read off the table, so the first failure is the
@@ -168,6 +169,9 @@ def reference_group_axioms(table):
     for i, row in enumerate(table):
         if len(row) != n:
             return NotLatinSquare, f"row {i} has length {len(row)}, expected {n}"
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                return NotLatinSquare, f"row {i} contains non-integer entry {x!r}"
         for x in row:
             if not 0 <= x < n:
                 return NotLatinSquare, f"row {i} contains out-of-range entry {x}"

@@ -219,18 +219,10 @@ def test_structure_report_refuses_non_normal_kernels(monkeypatch, name, images,
     assert str(info.value) == message
 
 
-def test_report_caches_no_twisted_array():
-    # fact (a) is read off a gather from G's array, so the twisted group
-    # the report returns holds no array of its own
-    for op in _factorization_operators("A5"):
-        rep = structure_report(op)
-        assert rep.derived.group._np is None
-
-
 def test_derived_group_memoized(monkeypatch):
     # one twisted group per operator: the report reads the one
-    # derived_group built, and gathers the twisted table once more for
-    # fact (a), so derived_group then structure_report make two gathers
+    # derived_group built, fact (a) included, off the twisted group's own
+    # array, so derived_group then structure_report make one gather
     calls = {"twisted": 0}
     monkeypatch.setattr(derived, "_twisted_table",
                         counting(calls, "twisted", derived._twisted_table))
@@ -239,7 +231,7 @@ def test_derived_group_memoized(monkeypatch):
         dg = derived_group(op)
         assert derived_group(op) is dg and op._derived is dg
         assert structure_report(op).derived is dg
-        assert calls == {"twisted": 2}
+        assert calls == {"twisted": 1}
 
 
 def test_derived_group_memo_starts_empty():

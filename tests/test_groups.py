@@ -97,6 +97,36 @@ def test_table_validation_errors():
                for a in range(10)]
     with pytest.raises(NotAssociative, match=r"^\(2\*2\)\*4 != 2\*\(2\*4\)$"):
         from_cayley_table(loop_z2)
+    # int() would read each of these as Z2; a row's length is checked
+    # before its entries' kind, and their kind before their range
+    for table, entry in (([[0.7, 1], [1, 0]], "0.7"),
+                         ([[False, True], [True, False]], "False"),
+                         ([["0", "1"], ["1", "0"]], "'0'"),
+                         (np.array([[0.9, 1.], [1., 0.]]), "np.float64(0.9)"),
+                         ([[0, 1], [1, 0.0]], "0.0"),
+                         ([[0, 1], [1, np.True_]], "np.True_")):
+        with pytest.raises(NotLatinSquare) as info:
+            from_cayley_table(table)
+        row = 1 if entry in ("0.0", "np.True_") else 0
+        assert str(info.value) == f"row {row} contains non-integer entry {entry}"
+    with pytest.raises(NotLatinSquare, match="^row 0 has length 1, expected 2$"):
+        from_cayley_table([[0.5], [1, 0]])
+    with pytest.raises(NotLatinSquare, match="^row 0 contains non-integer entry 0.5$"):
+        from_cayley_table([[0.5, 7], [1, 0]])
+    # Python and numpy integers are ids
+    z2 = from_cayley_table([[np.int64(0), np.uint8(1)], [1, np.int32(0)]])
+    assert z2.table == ((0, 1), (1, 0))
+
+
+def test_permutation_entries_must_be_integers():
+    # int() would read each of these generators as the transposition of
+    # 0 and 1
+    for gens in ([(1.0, 0.0)], [(True, False)], [("1", "0")], [(0, 1), (1.5, 0)]):
+        idx = len(gens) - 1
+        with pytest.raises(InvalidInput,
+                           match=f"^generator {idx} is not a permutation of 0..1$"):
+            from_permutations(gens)
+    assert from_permutations([np.array([1, 0]), (np.int64(0), 1)]).order == 2
 
 
 def _cyclic_table(n):
@@ -180,16 +210,20 @@ def _corpus_tables(draw):
 @st.composite
 def _malformed(draw):
     """A cyclic table with rows cut short or made long, or with entries
-    out of range, in one to three places."""
+    out of range or not integers, in one to three places."""
     n = draw(st.integers(1, 40))
     t = _cyclic_table(n)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, n - 1))
-        damage = draw(st.sampled_from(["short", "long", "negative", "too large"]))
+        damage = draw(st.sampled_from(["short", "long", "negative", "too large",
+                                       "not an integer"]))
         if damage == "short":
             t[i] = t[i][:draw(st.integers(0, n - 1))]
         elif damage == "long":
             t[i] = t[i] + [draw(st.integers(0, n - 1))]
+        elif damage == "not an integer" and t[i]:
+            x = draw(st.sampled_from([0.5, 1.0, True, False, "0", None]))
+            t[i][draw(st.integers(0, len(t[i]) - 1))] = x
         elif t[i]:
             low, high = (-5, -1) if damage == "negative" else (n, n + 5)
             t[i][draw(st.integers(0, len(t[i]) - 1))] = draw(st.integers(low, high))
@@ -226,12 +260,14 @@ def _decide(table):
                       st.just([])))
 def test_validator_agrees_with_reference(table):
     # the same verdict, exception class and message as the plain-loop
-    # reference, for the table as lists and as an integer array
+    # reference, for the table as lists and as an array: an integer array
+    # when every entry is an int, else an object array of the entries
     want = reference_group_axioms(table)
     event(want[0].__name__ if isinstance(want[0], type) else "group")
     assert _decide(table) == want
     if table and len({len(row) for row in table}) == 1:
-        assert _decide(np.array(table)) == want
+        ints = all(type(x) is int for row in table for x in row)
+        assert _decide(np.array(table, dtype=None if ints else object)) == want
 
 
 def test_validator_work(monkeypatch):
@@ -368,9 +404,9 @@ A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
     lambda: np.array(relabel(corpus_group("A5"), [(g + 30) % 60 for g in range(60)])),
 ], ids=["n1", "n6", "n216", "n384", "A6", "S3-e3", "A5-e30"])
 def test_proved_from_arrays(build):
-    # the identity and inverses read off an array, by Python scans up to
-    # order 24 and by numpy above it, against the plain-loop reference,
-    # also where the identity is not 0
+    # the identity and inverses read off an array by numpy, against the
+    # plain-loop reference, at every order and also where the identity
+    # is not 0
     t = build()
     G = groups.FiniteGroup._proved(t)
     assert G.table == tuple(map(tuple, t.tolist()))
@@ -394,6 +430,39 @@ def test_proved_tables_share_ids(build):
     assert n > 256
     assert len({id(x) for row in G.table for x in row}) == n
     assert {id(x) for x in G.inverses} <= {id(x) for x in G.table[G.identity]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_cayley_table(corpus_group("S3").table),
+    lambda: from_permutations(A6_GENS),
+    lambda: direct_power(corpus_group("S3"), 2).group,
+    lambda: (lambda G: quotient(G, derived_subgroup(G))[0])(corpus_group("S4")),
+    lambda: closure_group(corpus_group("S3"), [1, 2], [1, 2]).group,
+    lambda: derived_group(graph_enumerate(corpus_group("S3")).operators[1]).group,
+    lambda: opposite_group(corpus_group("D4")),
+], ids=["table", "perms", "power", "quotient", "closure", "twisted", "opposite"])
+def test_stored_table_is_read_only(build):
+    # the one stored table is a read-only, C-contiguous int32 array, and
+    # the tuple rows are read from it
+    G = build()
+    t = G.np_table()
+    assert t.dtype == np.int32 and t.flags.c_contiguous and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = t[0, 1]
+    assert G.table == tuple(map(tuple, t.tolist()))
+
+
+def test_caller_array_is_neither_kept_nor_frozen():
+    # from_cayley_table copies an outside array: writing into it later
+    # leaves the group as it was, and the array stays writeable
+    a = corpus_group("S3").np_table().copy()
+    G = from_cayley_table(a)
+    want = G.np_table().copy()
+    assert a.flags.writeable and not np.shares_memory(a, G.np_table())
+    a[:] = 0
+    assert np.array_equal(G.np_table(), want)
+    assert G.table == tuple(map(tuple, want.tolist()))
+    assert a.flags.writeable
 
 
 @pytest.mark.parametrize("names", [("Z2", "S3", "Z4"), ("Z1", "S3", "Z1"), ("S3", "Z3'")])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from rbgroups.corpus import corpus_group
 from rbgroups.enumeration import classify, graph_enumerate, is_rb_elementary, splitting_report
 from rbgroups.errors import OrderCapExceeded, RBGroupsError, SchemaViolation
-from rbgroups.extension import extend_generators
+from rbgroups.extension import closure_group, extend_generators
 from rbgroups.groups import (
+    DirectProduct,
     FiniteGroup,
     direct_product,
     order_cap,
@@ -44,6 +45,24 @@ def test_group_hash_is_table_only(s3):
     j = group_to_json(s3)
     j["name"] = "renamed"
     assert group_hash(parse_group(j)) == group_hash(s3)
+
+
+def test_serializing_builds_no_rows():
+    # the JSON of a group is read off its stored array, so a product that
+    # is only serialized, or a pair closure, never builds tuple rows; the
+    # JSON equals the rows read afterwards
+    names = ("S3", "Z2", "Z4")
+    P = DirectProduct(tuple(corpus_group(name) for name in names)).group
+    doc, digest = group_to_json(P), group_hash(P)
+    assert P._rows is None
+    assert doc["table"] == [list(row) for row in P.table]
+    assert digest == group_hash(parse_group(doc))
+    for name, gens, images in (("S3", [1, 2], [1, 2]), ("A4", [1, 4], [1, 0])):
+        G = corpus_group(name)
+        closure = closure_group(G, gens, images).group
+        doc = extension_to_json(extend_generators(G, gens, images), closure)
+        assert closure._rows is None
+        assert doc["gbar"]["table"] == [list(row) for row in closure.table]
 
 
 def test_parse_kinds():
